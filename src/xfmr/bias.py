@@ -7,9 +7,10 @@ per-position embedding baseline (which contributes no attention bias and is
 added once after the first stage instead).
 
 The dynamic provider never goes out of range: its bias table is rebuilt for
-whatever slot extent a layout asks for, at the cost of one tiny MLP forward
-per possible offset pair, which is O(G^2) instead of the O(G^4) cost of
-evaluating every slot pair directly.
+whatever slot extent a layout asks for, by one batched MLP pass over every
+possible offset pair, which is O(G^2) rows instead of the O(G^4) cost of
+evaluating every slot pair directly. Each row of that pass is bitwise equal
+to evaluating its offset alone.
 """
 
 from __future__ import annotations
@@ -79,27 +80,31 @@ class DynamicPositionBias(Module):
         self.fc2 = Linear(rng, hidden, hidden, dtype)
         self.norm3 = LayerNorm(hidden, dtype)
         self.fc_out = Linear(rng, hidden, heads, dtype)
-        self.eval_count = 0  # forward passes through the MLP, for cost audits
+        self.eval_count = 0  # offset rows evaluated by the MLP, for cost audits
+
+    def _rows(self, offsets) -> Tensor:
+        """Bias rows (R, heads) for R raw signed offset pairs (R, 2), each
+        row bitwise equal to the MLP run on that offset alone."""
+        x = Tensor(np.asarray(offsets, dtype=self.dtype))
+        self.eval_count += x.shape[0]
+        x = T.linear_rows(x, self.fc_in.w, self.fc_in.b)
+        for norm, fc in ((self.norm1, self.fc1), (self.norm2, self.fc2)):
+            y = T.linear_rows(T.relu(norm(x)), fc.w, fc.b)
+            x = x + y if self.residual else y
+        return T.linear_rows(T.relu(self.norm3(x)), self.fc_out.w, self.fc_out.b)
 
     def offset_bias(self, dx: float, dy: float) -> Tensor:
         """Bias vector (1, heads) for one raw signed offset pair."""
-        self.eval_count += 1
-        x = self.fc_in(Tensor(np.array([[dx, dy]], dtype=self.dtype)))
-        y = self.fc1(T.relu(self.norm1(x)))
-        x = x + y if self.residual else y
-        y = self.fc2(T.relu(self.norm2(x)))
-        x = x + y if self.residual else y
-        return self.fc_out(T.relu(self.norm3(x)))
+        return self._rows([[dx, dy]])
 
     def table(self, slots_h: int, slots_w: int) -> Tensor:
         """Bias table (2*slots_h-1, 2*slots_w-1, heads) covering every offset
-        a slot grid of that extent can produce; one MLP pass per entry."""
-        rows = [
-            self.offset_bias(dx, dy)
-            for dx in range(1 - slots_h, slots_h)
-            for dy in range(1 - slots_w, slots_w)
-        ]
-        return T.concat(rows, axis=0).reshape(2 * slots_h - 1, 2 * slots_w - 1, self.heads)
+        a slot grid of that extent can produce, from one batched MLP pass
+        whose entries are bitwise equal to ``offset_bias`` of each offset."""
+        dx, dy = np.meshgrid(np.arange(1 - slots_h, slots_h), np.arange(1 - slots_w, slots_w),
+                             indexing="ij")
+        rows = self._rows(np.stack([dx.ravel(), dy.ravel()], axis=1))
+        return rows.reshape(2 * slots_h - 1, 2 * slots_w - 1, self.heads)
 
     def bias_matrix(self, layout: GroupLayout) -> Tensor:
         sh, sw = layout.slots

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -31,29 +31,46 @@ USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 GRADCHECK_PARAM_LIMIT = 2_000_000
 
 
-def _config_from_args(args) -> RunConfig:
+def _flag_updates(args) -> dict[str, tuple[str, object]]:
+    """RunConfig field -> (flag, value) for every config flag given."""
+    size = getattr(args, "size", None)
+    given = {
+        "variant": ("--variant", getattr(args, "variant", None)),
+        "task": ("--task", getattr(args, "task", None)),
+        "bias": ("--bias", getattr(args, "bias", None)),
+        "attention": ("--attn", getattr(args, "attn", None)),
+        "cel": ("--cel", getattr(args, "cel", None)),
+        "seed": ("--seed", getattr(args, "seed", None)),
+        "input_size": ("--size", (size[0], size[1]) if size else None),
+        "steps": ("--steps", getattr(args, "steps", None) or None),
+    }
+    return {name: given[name] for name in given if given[name][1] is not None}
+
+
+def _config_from_args(args, base: RunConfig | None = None) -> RunConfig:
+    """``--config`` (else ``base``, else the defaults) with the flags on top."""
     if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
-    updates = {}
-    if getattr(args, "variant", None):
-        updates["variant"] = args.variant
-    if getattr(args, "task", None):
-        updates["task"] = args.task
-    if getattr(args, "bias", None):
-        updates["bias"] = args.bias
-    if getattr(args, "attn", None):
-        updates["attention"] = args.attn
-    if getattr(args, "cel", None):
-        updates["cel"] = args.cel
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "size", None):
-        updates["input_size"] = (args.size[0], args.size[1])
-    if getattr(args, "steps", None):
-        updates["steps"] = args.steps
-    return replace(cfg, **updates)
+        base = load_config(args.config)
+    elif base is None:
+        base = RunConfig()
+    return replace(base, **{name: value for name, (_, value) in _flag_updates(args).items()})
+
+
+def _stored_config_conflict(args, stored: RunConfig) -> str | None:
+    """One line naming the first flag that changes a stored config, or None."""
+    cfg = _config_from_args(args, base=stored)
+    flags = _flag_updates(args)
+    for f in fields(RunConfig):
+        given, kept = getattr(cfg, f.name), getattr(stored, f.name)
+        if f.name == "variant" and canonical_variant(given) == canonical_variant(kept):
+            continue
+        if given != kept:
+            given, kept = (" ".join(map(str, v)) if isinstance(v, tuple) else v for v in (given, kept))
+            what = (f"{flags[f.name][0]} {given}" if f.name in flags
+                    else f"--config {args.config} ({f.name} = {given})")
+            return (f"{what} disagrees with the checkpoint's stored config ({f.name} = {kept}); "
+                    f"drop it, the stored config builds the model")
+    return None
 
 
 def _stage_table(spec) -> str:
@@ -195,7 +212,14 @@ def cmd_bench(args) -> int:
 
 def cmd_bake_dpb(args) -> int:
     entries, stored = read_checkpoint(args.checkpoint)
-    cfg = _config_from_args(args) if stored is None else parse_config(stored)
+    if stored is None:
+        cfg = _config_from_args(args)
+    else:
+        cfg = parse_config(stored)
+        conflict = _stored_config_conflict(args, cfg)
+        if conflict:
+            print(conflict, file=sys.stderr)
+            return USAGE_ERROR
     if cfg.bias not in ("dpb", "dpb-res") or cfg.attention == "pvt-like":
         print("bake-dpb requires a dynamic-position-bias configuration", file=sys.stderr)
         return USAGE_ERROR
@@ -284,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     text = ("freeze dynamic position bias into fixed tables; the model comes from the "
-            "checkpoint's stored config when it has one (train-toy records it), else from the flags")
+            "checkpoint's stored config when it has one (train-toy records it), and flags that "
+            "disagree with it are refused; else from the flags")
     p = sub.add_parser("bake-dpb", help=text, description=text)
     _add_common(p)
     p.add_argument("checkpoint", metavar="CHECKPOINT")

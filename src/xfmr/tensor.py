@@ -21,6 +21,7 @@ __all__ = [
     "MacCounter",
     "count_macs",
     "matmul",
+    "linear_rows",
     "conv2d",
     "relu",
     "gelu",
@@ -450,6 +451,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _make(out_data, (a, b), _bw)
+
+
+def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of (R, K) rows, each row computed alone.
+
+    Every output row, and every row's contribution to the gradients, is
+    bitwise what a lone (1, K) ``matmul(row, w) + b`` on the tape gives:
+    the stacked M=1 products each run the BLAS call a one-row ``matmul``
+    makes, and the ``w``/``b`` gradients sum exact per-row outer products
+    in row order, the order in which separate per-row nodes accumulate.
+    A single GEMM over all rows would round differently.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError(f"linear_rows wants (R, K) @ (K, N) + (N,), got "
+                         f"{x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    if x.data.shape[1] != w.data.shape[0] or b.data.shape[0] != w.data.shape[1]:
+        raise ShapeError(f"linear_rows extents differ: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    out_data = np.matmul(x.data[:, None, :], w.data)[:, 0, :] + b.data
+    _record_macs(x.data.size * w.data.shape[1])
+
+    def _bw(g):
+        if _needs_grad(x):
+            _accumulate(x, np.matmul(g[:, None, :], w.data.T)[:, 0, :])
+        # "+ 0.0" turns -0.0 into +0.0, as the zero-started one-term sums of
+        # a one-row matmul and bias broadcast do
+        if _needs_grad(w):
+            outer = x.data[:, :, None] * g[:, None, :] + 0.0
+            _accumulate(w, np.add.accumulate(outer, axis=0)[-1])
+        if _needs_grad(b):
+            _accumulate(b, np.add.accumulate(g + 0.0, axis=0)[-1])
+
+    return _make(out_data, (x, w, b), _bw)
 
 
 def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding: int) -> Tensor:

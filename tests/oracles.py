@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from xfmr import no_grad
+from xfmr import Tensor, no_grad
+from xfmr import tensor as T
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,7 +86,8 @@ def masked_full_attention(
 
     Loops over every (query, key) token pair per head, using the grouped
     attention layer's weight values directly; group membership and slot
-    offsets come from the definitional formulas above.
+    offsets come from the definitional formulas above. The bias comes from
+    ``offset_bias`` of each distinct slot offset, evaluated once per call.
     """
     n, height, width, dim = x.shape
     heads = attn.heads
@@ -95,6 +97,7 @@ def masked_full_attention(
     k = flat @ attn.k_proj.w.data + attn.k_proj.b.data
     v = flat @ attn.v_proj.w.data + attn.v_proj.b.data
     out = np.zeros_like(x)
+    bias_of = {}
     for b in range(n):
         for i in range(height * width):
             ri, ci = divmod(i, width)
@@ -110,10 +113,11 @@ def masked_full_attention(
                         continue
                     bias = 0.0
                     if bias_provider is not None:
-                        with no_grad():
-                            bias = float(
-                                bias_provider.offset_bias(si[0] - sj[0], si[1] - sj[1]).data[0, head]
-                            )
+                        offset = (si[0] - sj[0], si[1] - sj[1])
+                        if offset not in bias_of:
+                            with no_grad():
+                                bias_of[offset] = bias_provider.offset_bias(*offset).data[0]
+                        bias = float(bias_of[offset][head])
                     logits[j] = float(q[b, i, sl] @ k[b, j, sl]) / math.sqrt(d) + bias
                 m = logits.max()
                 p = np.exp(logits - m)
@@ -121,3 +125,43 @@ def masked_full_attention(
                 mixed[sl] = (p[:, None] * v[b, :, sl]).sum(axis=0)
             out[b, ri, ci, :] = mixed @ attn.out_proj.w.data + attn.out_proj.b.data
     return out
+
+
+def dpb_table_per_offset(dpb, slots_h: int, slots_w: int):
+    """Dynamic-position-bias table built one offset at a time.
+
+    Runs the provider's MLP on the tape once per (dx, dy) offset, from the
+    module's own parameter tensors, with one ``matmul + b`` per layer and
+    per offset, and stacks the rows with ``concat``: the per-offset path the
+    batched table must match bitwise, values and parameter gradients alike.
+    """
+
+    def linear(fc, x):
+        return T.matmul(x, fc.w) + fc.b
+
+    def norm(ln, x):
+        return T.layer_norm(x, ln.gamma, ln.beta, ln.eps)
+
+    rows = []
+    for dx in range(1 - slots_h, slots_h):
+        for dy in range(1 - slots_w, slots_w):
+            x = linear(dpb.fc_in, Tensor(np.array([[dx, dy]], dtype=dpb.dtype)))
+            for ln, fc in ((dpb.norm1, dpb.fc1), (dpb.norm2, dpb.fc2)):
+                y = linear(fc, T.relu(norm(ln, x)))
+                x = x + y if dpb.residual else y
+            rows.append(linear(dpb.fc_out, T.relu(norm(dpb.norm3, x))))
+    return T.concat(rows, axis=0).reshape(2 * slots_h - 1, 2 * slots_w - 1, dpb.heads)
+
+
+def dpb_bias_matrix_per_offset(dpb, slots_h: int, slots_w: int):
+    """Slot-pair bias (n, n, heads) gathered from ``dpb_table_per_offset``;
+    pair (i, j) reads offset (xi - xj, yi - yj) by the definitional formula."""
+    n = slots_h * slots_w
+    tw = 2 * slots_w - 1
+    idx = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            (xi, yi), (xj, yj) = divmod(i, slots_w), divmod(j, slots_w)
+            idx[i, j] = (xi - xj + slots_h - 1) * tw + (yi - yj + slots_w - 1)
+    table = dpb_table_per_offset(dpb, slots_h, slots_w)
+    return T.index_rows(table.reshape((2 * slots_h - 1) * tw, dpb.heads), idx)

@@ -14,6 +14,8 @@ from xfmr import (
 )
 from xfmr.bias import pair_offset_index
 
+from oracles import dpb_bias_matrix_per_offset, dpb_table_per_offset
+
 
 def make_dpb(dim=32, heads=4, residual=False, seed=7, dtype=np.float64):
     return DynamicPositionBias(np.random.default_rng(seed), dim, heads, residual, dtype)
@@ -78,6 +80,39 @@ class TestTable:
             with no_grad():
                 dpb.table(g, g)
             assert dpb.eval_count == (2 * g - 1) ** 2
+
+
+class TestBatchedEqualsPerOffset:
+    """The batched table, and the parameter gradients through it, equal the
+    per-offset MLP path bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("slots", [(1, 1), (2, 2), (4, 9), (7, 7)])
+    def test_table_and_grads_bitwise(self, dtype, residual, heads, slots):
+        sh, sw = slots
+        dpb = make_dpb(dim=16, heads=heads, residual=residual, seed=11, dtype=dtype)
+        jitter = np.random.default_rng(12)
+        for p in dpb.parameters():
+            p.data = (p.data + jitter.normal(0.0, 0.3, p.data.shape)).astype(dtype)
+        with no_grad():
+            batched = dpb.table(sh, sw).data
+            reference = dpb_table_per_offset(dpb, sh, sw).data
+        assert batched.tobytes() == reference.tobytes()
+
+        # on the 1x1 grid fc_in sees only the offset (0, 0), so its weight
+        # gradient is all signed zeros, which the per-offset path makes +0.0
+        n = sh * sw
+        w = np.random.default_rng(13).standard_normal((n, n, heads)).astype(dtype)
+        layout = build_layout("lda", sh, sw, 1)
+        grads = []
+        for build in (lambda: dpb.bias_matrix(layout), lambda: dpb_bias_matrix_per_offset(dpb, sh, sw)):
+            for p in dpb.parameters():
+                p.grad = None
+            (build() * w).sum().backward()
+            grads.append({name: p.grad.tobytes() for name, p in dpb.named_parameters()})
+        assert grads[0] == grads[1]
 
 
 class TestBiasMatrix:

@@ -141,6 +141,29 @@ class TestTrainAndBake:
         assert code == 0
         assert "0.000e+00" in out
 
+    def test_bake_refuses_flags_that_change_stored_config(self, capsys, tmp_path):
+        from xfmr import RunConfig, build_model, emit_config, save_checkpoint, to_model_spec
+
+        cfg = RunConfig(variant="toy", classes=4)
+        model = build_model(to_model_spec(cfg), seed=0)
+        path = tmp_path / "toy4.xfmr"
+        save_checkpoint(path, {n: p.data for n, p in model.named_parameters()}, config=cfg)
+        out = str(tmp_path / "o.xfmr")
+        code, _, err = run(capsys, "bake-dpb", "--bias", "rpb", str(path), "--out", out)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "--bias rpb" in err and "bias = dpb" in err
+
+        other = tmp_path / "other.cfg"
+        other.write_text(emit_config(RunConfig(variant="toy", classes=10)))
+        code, _, err = run(capsys, "bake-dpb", "--config", str(other), str(path), "--out", out)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "classes = 10" in err and "classes = 4" in err
+
+        code, _, _ = run(capsys, "bake-dpb", "--bias", "dpb", "--seed", "0", str(path), "--out", out)
+        assert code == 0
+
     def test_bake_v1_mismatch_names_shapes(self, capsys, tmp_path):
         from xfmr import build_model, save_checkpoint, toy_spec
 
