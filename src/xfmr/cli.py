@@ -42,7 +42,7 @@ def _flag_updates(args) -> dict[str, tuple[str, object]]:
         "cel": ("--cel", getattr(args, "cel", None)),
         "seed": ("--seed", getattr(args, "seed", None)),
         "input_size": ("--size", (size[0], size[1]) if size else None),
-        "steps": ("--steps", getattr(args, "steps", None) or None),
+        "steps": ("--steps", getattr(args, "steps", None)),
     }
     return {name: given[name] for name in given if given[name][1] is not None}
 
@@ -262,6 +262,17 @@ def cmd_bake_dpb(args) -> int:
     return OK if diff <= 1e-6 else CHECK_FAILED
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of every count flag: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, seed_default=None) -> None:
     p.add_argument("--variant", choices=[*VARIANT_NAMES, "t", "s", "b", "l", "toy"])
     p.add_argument("--task", choices=["classification", "dense"])
@@ -286,25 +297,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forward", help="run one inference forward pass")
     _add_common(p)
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--batch", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model loss")
     _add_common(p)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--entries-per-tensor", type=int, default=4)
+    p.add_argument("--entries-per-tensor", type=_positive_int, default=4)
     p.add_argument("--corrupt-backward", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit the synthetic dataset")
     _add_common(p)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=_positive_int)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_train_toy)
 
     p = sub.add_parser("bench", help="attention cost scaling table")
-    p.add_argument("--sizes", type=int, nargs="+")
-    p.add_argument("--group", type=int, default=7)
+    p.add_argument("--sizes", type=_positive_int, nargs="+")
+    p.add_argument("--group", type=_positive_int, default=7)
     p.set_defaults(fn=cmd_bench)
 
     text = ("freeze dynamic position bias into fixed tables; the model comes from the "

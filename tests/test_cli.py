@@ -221,6 +221,21 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("forward", "--variant", "toy", "--batch", "0"),
+        ("forward", "--variant", "toy", "--batch", "-1"),
+        ("bench", "--sizes", "0"),
+        ("bench", "--group", "0"),
+        ("train-toy", "--steps", "0"),
+        ("gradcheck", "--variant", "toy", "--entries-per-tensor", "0"),
+    ])
+    def test_non_positive_count_is_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: {argv[-1]} is not a positive count" in err.splitlines()[-1]
+
     def test_emit_config_roundtrip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "emit-config", "--variant", "small", "--bias", "rpb")
         assert code == 0

@@ -109,6 +109,67 @@ class TestMatmul:
         assert rep.passed, rep.summary()
 
 
+def _rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Oracle for a token-wise product: every leading index one vector @ matrix."""
+    out = np.zeros(a.shape[:-1] + (b.shape[1],), dtype=np.result_type(a, b))
+    for idx in np.ndindex(*a.shape[:-1]):
+        out[idx] = a[idx] @ b
+    return out
+
+
+class TestFoldedMatmul:
+    """A 2-D right operand runs as one GEMM over all leading rows of ``a``."""
+
+    CASES = {
+        "rank3": lambda r: r.standard_normal((2, 5, 6)),
+        "rank4": lambda r: r.standard_normal((2, 3, 4, 6)),
+        "rank5": lambda r: r.standard_normal((2, 3, 2, 3, 6)),
+        "rank4-permuted": lambda r: r.standard_normal((2, 4, 3, 6)).transpose(0, 2, 1, 3),
+        "zero-rows": lambda r: r.standard_normal((0, 3, 6)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_forward_matches_row_loop(self, case):
+        r = np.random.default_rng(7)
+        a = self.CASES[case](r).astype(np.float32)
+        b = r.standard_normal((6, 5)).astype(np.float32)
+        out = T.matmul(Tensor(a), Tensor(b))
+        assert out.shape == a.shape[:-1] + (5,) and out.dtype == np.float32
+        np.testing.assert_allclose(out.data, _rows_times(a, b), rtol=1e-5, atol=1e-5)
+
+    # grad_check perturbs leaves through a flat view, so they are contiguous
+    # here; test_grad_through_permuted_input feeds a permuted operand
+    @pytest.mark.parametrize("case", ["rank3", "rank4", "rank5"])
+    def test_grads_f64(self, case):
+        r = np.random.default_rng(8)
+        a = Tensor(self.CASES[case](r), requires_grad=True)
+        b = Tensor(r.standard_normal((6, 5)), requires_grad=True)
+        weights = r.standard_normal(a.shape[:-1] + (5,))
+        rep = grad_check(lambda: (T.matmul(a, b) * weights).sum(), [("a", a), ("b", b)], tol=1e-7)
+        assert rep.passed, rep.summary()
+
+    def test_grads_zero_rows(self):
+        a = Tensor(np.zeros((0, 3, 6)), requires_grad=True)
+        b = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        T.matmul(a, b).sum().backward()
+        assert a.grad.shape == (0, 3, 6)
+        assert (b.grad == 0.0).all() and b.grad.shape == (6, 5)
+
+    def test_grad_through_permuted_input(self):
+        x = randt(2, 4, 3, 6, grad=True)
+        w = randt(6, 5, grad=True)
+        weights = rng.standard_normal((2, 3, 4, 5))
+        rep = grad_check(lambda: (T.matmul(x.permute(0, 2, 1, 3), w) * weights).sum(),
+                         [("x", x), ("w", w)], tol=1e-7)
+        assert rep.passed, rep.summary()
+
+    @pytest.mark.parametrize("shape", [(2, 5, 6), (2, 3, 4, 6), (2, 3, 2, 3, 6), (0, 3, 6)])
+    def test_macs_counted(self, shape):
+        with T.count_macs() as c:
+            out = T.matmul(Tensor(np.zeros(shape)), Tensor(np.zeros((6, 5))))
+        assert c.macs == int(np.prod(out.shape)) * 6
+
+
 class TestLinearRows:
     def test_equals_per_row_tape_bitwise(self):
         # a zero input column and a -0.0 loss-weight column give signed-zero
