@@ -71,13 +71,17 @@ class CelSpec:
             raise ConfigError("per-kernel dims must sum to the total dim")
         if len(self.per_kernel_dims) != len(self.kernel_sizes):
             raise ConfigError("one dim per kernel required")
+        if self.stride < 1 or any(k < 1 for k in self.kernel_sizes):
+            raise ConfigError("kernel and stride must be positive")
         for k in self.kernel_sizes:
+            if k < self.stride:
+                raise ConfigError(
+                    f"kernel {k} smaller than stride {self.stride}: padding (k-s)/2 would be negative"
+                )
             if (k - self.stride) % 2:
                 raise ConfigError(
                     f"kernel {k} with stride {self.stride}: padding (k-s)/2 must be integral"
                 )
-            if k < 1 or self.stride < 1:
-                raise ConfigError("kernel and stride must be positive")
 
     def padding_for(self, kernel: int) -> int:
         # symmetric zero padding keeping all kernels co-centered on one grid

@@ -325,8 +325,11 @@ def relu(t: Tensor) -> Tensor:
 def gelu(t: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form."""
     x = t.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out_data = (x * phi).astype(x.dtype)
+    phi = x * _INV_SQRT2  # one buffer for 0.5·(1 + erf(x/√2))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    out_data = x * phi
 
     def _bw(g):
         dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
@@ -514,7 +517,25 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding:
 
     Output extents follow floor((H + 2p - k) / s) + 1 with symmetric zero
     padding of ``padding`` per side.
+
+    The convolution runs as space-to-depth plus GEMMs. With q = ceil(kh/s)
+    and r = ceil(kw/s), the input is zero-padded to (oh+q-1)·s × (ow+r-1)·s
+    and each s×s block of pixels becomes one row of s²·Cin channels; the
+    kernel, zero-padded to q·s × r·s, becomes an (s²·Cin, q·r·Cout) matrix
+    whose column group (a, b) holds the taps of block offset (a, b). Output
+    (i, j) sums the products of block (i+a, j+b) with group (a, b). The
+    forward takes one GEMM over all blocks per block-row offset a, so its
+    product is q times smaller than a single GEMM's (2 instead of 16 MB for
+    the 32×32 embedding kernel at batch 2) and was faster there. The backward
+    writes ``g`` into the q·r disjoint slots and takes one GEMM per gradient.
+    This replaces a loop of kh·kw small products (1,024 for the 32×32
+    kernel), each of only Cin columns; it is exact up to float
+    reassociation. The MAC counter records the convolution,
+    n·oh·ow·Cout·kh·kw·Cin, not the GEMMs, whose extra rows and zero taps
+    are layout, not work of the layer.
     """
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"conv2d wants stride >= 1 and padding >= 0, got {stride} and {padding}")
     x = t.data
     squeeze = x.ndim == 3
     if squeeze:
@@ -528,38 +549,51 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
+    s, q, r = stride, -(-kh // stride), -(-kw // stride)
+    hq, wq = oh + q - 1, ow + r - 1  # extents in s×s blocks
+    tiles = (padding, hq * s, wq * s) == (0, h, w)  # the input is the padded grid already
 
+    def blocks() -> np.ndarray:
+        # (n·hq·wq, s²·Cin) rows, rebuilt in backward rather than kept on the tape
+        xq = x
+        if not tiles:
+            xq = np.zeros((n, hq * s, wq * s, cin), dtype=x.dtype)
+            xq[:, padding : padding + h, padding : padding + w] = x[:, : hq * s - padding, : wq * s - padding]
+        return xq.reshape(n, hq, s, wq, s, cin).transpose(0, 1, 3, 2, 4, 5).reshape(-1, s * s * cin)
+
+    kq = np.zeros((q * s, r * s, cin, cout), dtype=kernel.data.dtype)
+    kq[:kh, :kw] = kernel.data
+    kmat = kq.reshape(q, s, r, s, cin, cout).transpose(1, 3, 4, 0, 2, 5).reshape(s * s * cin, q * r * cout)
+
+    xs = blocks()
     out = np.zeros((n, oh, ow, cout), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
-            out += patch @ kernel.data[i, j]
+    for a in range(q):
+        y = (xs @ kmat[:, a * r * cout : (a + 1) * r * cout]).reshape(n, hq, wq, r, cout)
+        for b in range(r):
+            out += y[:, a : a + oh, b : b + ow, b]
     if bias is not None:
-        out = out + bias.data
+        out += bias.data
     _record_macs(n * oh * ow * cout * kh * kw * cin)
     if squeeze:
         out = out[0]
 
     def _bw(g):
         gb = g[None] if squeeze else g
-        gflat = gb.reshape(-1, cout)
-        need_x, need_k = _needs_grad(t), _needs_grad(kernel)
-        dxp = np.zeros_like(xp) if need_x else None
-        dk = np.zeros_like(kernel.data) if need_k else None
-        for i in range(kh):
-            for j in range(kw):
-                if need_k:
-                    patch = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
-                    dk[i, j] = patch.reshape(-1, cin).T @ gflat
-                if need_x:
-                    dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += (
-                        (gflat @ kernel.data[i, j].T).reshape(n, oh, ow, cin))
-        if need_x:
-            dx = dxp[:, padding : padding + h, padding : padding + w, :] if padding else dxp
+        dy = np.zeros((n, hq, wq, q, r, cout), dtype=g.dtype)
+        for a in range(q):
+            for b in range(r):
+                dy[:, a : a + oh, b : b + ow, a, b] = gb
+        dy = dy.reshape(-1, q * r * cout)
+        if _needs_grad(kernel):
+            dk = (blocks().T @ dy).reshape(s, s, cin, q, r, cout).transpose(3, 0, 4, 1, 2, 5)
+            _accumulate(kernel, dk.reshape(q * s, r * s, cin, cout)[:kh, :kw])
+        if _needs_grad(t):
+            dx = (dy @ kmat.T).reshape(n, hq, wq, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
+            dx = dx.reshape(n, hq * s, wq * s, cin)
+            if not tiles:
+                dxq, dx = dx, np.zeros_like(x)
+                dx[:, : hq * s - padding, : wq * s - padding] = dxq[:, padding : padding + h, padding : padding + w]
             _accumulate(t, dx[0] if squeeze else dx)
-        if need_k:
-            _accumulate(kernel, dk)
         if bias is not None and _needs_grad(bias):
             _accumulate(bias, gb.sum(axis=(0, 1, 2)))
 

@@ -221,6 +221,23 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["count", "forward"])
+    def test_kernel_smaller_than_stride_is_2(self, capsys, tmp_path, command):
+        from xfmr.config import RunConfig, StageOverride, emit_config
+
+        stages = tuple(
+            StageOverride(kernels=(2, 4), stride=4 if i == 0 else 2, dim=16 * 2 ** i,
+                          heads=2 ** i, group=2, interval=2, blocks=1)
+            for i in range(4)
+        )
+        cfg = tmp_path / "small_kernel.cfg"
+        cfg.write_text(emit_config(RunConfig(stages=stages, input_size=(64, 64), classes=4)))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: kernel 2 smaller than stride 4: padding (k-s)/2 would be negative"]
+
     @pytest.mark.parametrize("argv", [
         ("forward", "--variant", "toy", "--batch", "0"),
         ("forward", "--variant", "toy", "--batch", "-1"),

@@ -37,6 +37,17 @@ class TestCelSpec:
         with pytest.raises(ConfigError):
             CelSpec((3,), stride=2, dim=8)
 
+    def test_kernel_smaller_than_stride_rejected(self):
+        # (k - s) / 2 would be a negative padding
+        with pytest.raises(ConfigError, match="kernel 2 smaller than stride 4"):
+            CelSpec((2, 4), stride=4, dim=8)
+
+    def test_positivity_checked_before_parity(self):
+        with pytest.raises(ConfigError, match="must be positive"):
+            CelSpec((3,), stride=0, dim=8)
+        with pytest.raises(ConfigError, match="must be positive"):
+            CelSpec((0, 2), stride=2, dim=8)
+
     def test_indivisible_input_rejected(self):
         spec = CelSpec((4, 8), stride=4, dim=8)
         with pytest.raises(ConfigError):

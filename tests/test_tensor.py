@@ -323,11 +323,75 @@ class TestConv2d:
         )
         assert rep.passed, rep.summary()
 
+    @given(
+        kh=st.integers(1, 9), kw=st.integers(1, 9), stride=st.integers(1, 4), padding=st.integers(0, 3),
+        extra_h=st.integers(0, 4), extra_w=st.integers(0, 4), cin=st.integers(1, 4), cout=st.integers(1, 4),
+        batch=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_against_direct_summation_any_geometry(self, kh, kw, stride, padding, extra_h, extra_w,
+                                                   cin, cout, batch, seed):
+        # k not a multiple of s, padded extents not divisible by s, unbatched input
+        h, w = max(1, kh - 2 * padding) + extra_h, max(1, kw - 2 * padding) + extra_w
+        r = np.random.default_rng(seed)
+        images = r.standard_normal((batch or 1, h, w, cin))
+        k, b = r.standard_normal((kh, kw, cin, cout)), r.standard_normal(cout)
+        x = Tensor(images if batch else images[0])
+        with T.count_macs() as counter:
+            mine = T.conv2d(x, Tensor(k), Tensor(b), stride, padding).data
+        ref = np.stack([conv2d_loops(img, k, b, stride, padding) for img in images])
+        n, oh, ow, _ = ref.shape
+        assert mine.shape == (ref.shape if batch else ref.shape[1:])
+        assert np.abs(mine - (ref if batch else ref[0])).max() <= 1e-10
+        assert counter.macs == n * oh * ow * cout * kh * kw * cin
+
+    @pytest.mark.parametrize("shape, kernel, stride, padding", [
+        ((2, 12, 8, 2), 8, 4, 2),  # stage-1 embedding geometry: k a multiple of s
+        ((7, 6, 2), 3, 2, 1),      # k not a multiple of s, unbatched, padded extent odd
+        ((2, 9, 11, 1), 3, 4, 0),  # k smaller than s: the last input row feeds no output
+    ])
+    def test_grad_space_to_depth_geometries(self, shape, kernel, stride, padding):
+        x = randt(*shape, grad=True)
+        k = randt(kernel, kernel, shape[-1], 3, grad=True)
+        b = randt(3, grad=True)
+        w = randt(*T.conv2d(x, k, b, stride, padding).shape)
+        rep = grad_check(
+            lambda: (T.conv2d(x, k, b, stride, padding) * w).sum(), [("x", x), ("k", k), ("b", b)], tol=1e-7
+        )
+        assert rep.passed, rep.summary()
+
+    def test_input_without_grad_gets_none(self):
+        x = randt(2, 9, 9, 3)
+        k = randt(4, 4, 3, 2, grad=True)
+        T.conv2d(x, k, None, 4, 0).sum().backward()
+        assert x.grad is None
+        assert k.grad is not None and k.grad.shape == (4, 4, 3, 2)
+
+    @pytest.mark.parametrize("stride, padding", [(0, 0), (-1, 0), (1, -1)])
+    def test_bad_stride_or_padding(self, stride, padding):
+        with pytest.raises(T.ShapeError, match="stride >= 1 and padding >= 0"):
+            T.conv2d(randt(8, 8, 1), randt(2, 2, 1, 1), None, stride, padding)
+
 
 class TestStandardLayers:
     def test_relu_values(self):
         out = T.relu(Tensor(np.array([-1.0, 2.0])))
         assert out.data.tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_bitwise_equal_to_formula(self, dtype):
+        from scipy.special import erf
+
+        x = np.concatenate([rng.standard_normal(2000) * 4, [0.0, -0.0, 40.0, -40.0, 1e-30]]).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        phi = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+        dens = np.exp(-0.5 * x * x) * 0.3989422804014327
+        t = Tensor(x, requires_grad=True)
+        out = T.gelu(t)
+        (out * Tensor(g)).sum().backward()
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == (x * phi).astype(dtype).tobytes()
+        assert t.grad.tobytes() == (g * (phi + x * dens)).tobytes()
 
     def test_gelu_known_values(self):
         out = T.gelu(Tensor(np.array([0.0, 100.0, -100.0])))
