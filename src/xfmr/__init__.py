@@ -8,7 +8,6 @@ from .attention import (
     attend_tokens,
     build_layout,
     group,
-    lsda_forward,
     ungroup,
 )
 from .bias import (
@@ -67,7 +66,6 @@ __all__ = [
     "grad_check",
     "group",
     "load_checkpoint",
-    "lsda_forward",
     "model_forward",
     "no_grad",
     "parse_config",

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .attention import LDA, SDA, build_layout
-from .model import MLP_RATIO, PVT_REDUCTIONS, ModelSpec, StageSpec
+from .bias import dpb_hidden_width
+from .model import MLP_RATIO, PVT_REDUCTIONS, ModelSpec
 
 __all__ = [
     "CostReport",
@@ -76,7 +76,7 @@ def _linear_params(d_in: int, d_out: int) -> int:
 
 
 def _dpb_params(dim: int, heads: int) -> int:
-    h = dim // 4
+    h = dpb_hidden_width(dim)
     total = _linear_params(2, h)
     total += 2 * (2 * h + _linear_params(h, h))  # two [norm, relu, linear] blocks
     total += 2 * h + _linear_params(h, heads)  # final [norm, relu, linear]
@@ -84,23 +84,14 @@ def _dpb_params(dim: int, heads: int) -> int:
 
 
 def _dpb_eval_macs(dim: int, heads: int) -> int:
-    h = dim // 4
+    h = dpb_hidden_width(dim)
     return 2 * h + 2 * h * h + h * heads
-
-
-def _block_layouts(spec: ModelSpec, stage: StageSpec, grid: tuple[int, int]):
-    """Per-block attention layout (SDA for even blocks, LDA for odd)."""
-    for b in range(stage.blocks):
-        if spec.attention_mode == "sda-only" or b % 2 == 0:
-            yield build_layout(SDA, grid[0], grid[1], stage.group_size)
-        else:
-            yield build_layout(LDA, grid[0], grid[1], stage.interval)
 
 
 def count_params(spec: ModelSpec) -> CostReport:
     report = CostReport("params")
     in_ch = 3
-    for s, stage in enumerate(spec.stages):
+    for s, (stage, planned) in enumerate(zip(spec.stages, spec.block_plan())):
         key = f"stage{s + 1}"
         for k, d in zip(stage.cel.kernel_sizes, stage.cel.per_kernel_dims):
             report.add(f"{key}.cel", k * k * in_ch * d + d)
@@ -113,8 +104,7 @@ def count_params(spec: ModelSpec) -> CostReport:
             if spec.bias_kind in ("dpb", "dpb-res"):
                 report.add(f"{key}.bias", stage.blocks * _dpb_params(stage.dim, stage.heads))
             elif spec.bias_kind == "rpb":
-                grid = spec.stage_grids()[s]
-                for layout in _block_layouts(spec, stage, grid):
+                for _, _, layout in planned:
                     sh, sw = layout.slots
                     report.add(f"{key}.bias", (2 * sh - 1) * (2 * sw - 1) * stage.heads)
         in_ch = stage.dim
@@ -135,11 +125,10 @@ def attention_map_macs(tokens: int, slots: int, dim: int) -> int:
 def count_flops(spec: ModelSpec, input_size: tuple[int, int] | None = None) -> CostReport:
     """Multiply-accumulate count of one single-image forward pass."""
     report = CostReport("macs")
-    h, w = input_size or spec.input_size
     in_ch = 3
-    for s, stage in enumerate(spec.stages):
+    stages = zip(spec.stages, spec.stage_grids(input_size), spec.block_plan(input_size))
+    for s, (stage, (h, w), planned) in enumerate(stages):
         key = f"stage{s + 1}"
-        h, w = stage.cel.output_grid(h, w)
         for k, d in zip(stage.cel.kernel_sizes, stage.cel.per_kernel_dims):
             report.add(f"{key}.cel", h * w * d * k * k * in_ch)
         tokens = h * w
@@ -151,7 +140,7 @@ def count_flops(spec: ModelSpec, input_size: tuple[int, int] | None = None) -> C
                            2 * tokens * stage.dim ** 2 + 2 * kv_tokens * stage.dim ** 2)
                 report.add(f"{key}.attention", attention_map_macs(tokens, kv_tokens, stage.dim))
         else:
-            for layout in _block_layouts(spec, stage, (h, w)):
+            for _, _, layout in planned:
                 padded = layout.padded_grid[0] * layout.padded_grid[1]
                 report.add(f"{key}.attention", 4 * padded * stage.dim ** 2)
                 report.add(f"{key}.attention",

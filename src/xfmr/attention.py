@@ -26,7 +26,6 @@ __all__ = [
     "attend_tokens",
     "GroupedAttention",
     "PooledFullAttention",
-    "lsda_forward",
 ]
 
 SDA = "sda"
@@ -35,7 +34,8 @@ LDA = "lda"
 
 @dataclass(frozen=True)
 class GroupLayout:
-    """Invertible map from grid positions to (group, slot) coordinates."""
+    """Invertible map from the (H, W) positions of a batched (N, H, W, C)
+    grid to (group, slot) coordinates; :func:`group` applies it."""
 
     mode: str
     grid: tuple[int, int]
@@ -44,9 +44,6 @@ class GroupLayout:
     groups: tuple[int, int]  # group-index grid
     slots: tuple[int, int]  # per-group slot grid
     mask: np.ndarray  # (n_groups, n_slots) True for real positions
-    forward_group: np.ndarray  # (H, W) -> group id
-    forward_slot: np.ndarray  # (H, W) -> slot id
-    inverse_flat: np.ndarray  # (n_groups, n_slots) -> r * W + c, -1 for padding
 
     @property
     def n_groups(self) -> int:
@@ -82,16 +79,8 @@ def build_layout(mode: str, height: int, width: int, size: int) -> GroupLayout:
         slots = (hp // size, wp // size)
         gid = (rows % size) * groups[1] + (cols % size)
         sid = (rows // size) * slots[1] + (cols // size)
-    gid = np.broadcast_to(gid, (hp, wp))
-    sid = np.broadcast_to(sid, (hp, wp))
-    n_groups = groups[0] * groups[1]
-    n_slots = slots[0] * slots[1]
-    real = (rows < height) & (cols < width)
-    mask = np.zeros((n_groups, n_slots), dtype=bool)
-    mask[gid[real], sid[real]] = True
-    inverse = np.full((n_groups, n_slots), -1, dtype=np.int64)
-    rr, cc = np.nonzero(real)
-    inverse[gid[real], sid[real]] = rr * width + cc
+    mask = np.zeros((groups[0] * groups[1], slots[0] * slots[1]), dtype=bool)
+    mask[gid[:height, :width], sid[:height, :width]] = True
     return GroupLayout(
         mode=mode,
         grid=(height, width),
@@ -100,25 +89,15 @@ def build_layout(mode: str, height: int, width: int, size: int) -> GroupLayout:
         groups=groups,
         slots=slots,
         mask=mask,
-        forward_group=np.ascontiguousarray(gid[:height, :width]),
-        forward_slot=np.ascontiguousarray(sid[:height, :width]),
-        inverse_flat=inverse,
     )
 
 
-def _split_batch(x: Tensor) -> tuple[Tensor, bool]:
-    if x.data.ndim == 3:
-        return x.reshape((1,) + x.shape), True
-    return x, False
-
-
 def group(x: Tensor, layout: GroupLayout) -> Tensor:
-    """Rearrange (..., H, W, D) into (..., n_groups, n_slots, D).
+    """Rearrange a batch (N, H, W, D) into (N, n_groups, n_slots, D).
 
     Pure reshape/permute composition on the zero-padded grid; padded slots
     hold zeros and are excluded from attention by the layout mask.
     """
-    x, squeeze = _split_batch(x)
     n, h, w, d = x.shape
     if (h, w) != layout.grid:
         raise T.ShapeError(f"tensor grid {(h, w)} does not match layout {layout.grid}")
@@ -132,13 +111,12 @@ def group(x: Tensor, layout: GroupLayout) -> Tensor:
         gh, gw = layout.groups
         sh, sw = layout.slots
         x = x.reshape(n, sh, gh, sw, gw, d).permute(0, 2, 4, 1, 3, 5)
-    out = x.reshape(n, layout.n_groups, layout.n_slots, d)
-    return out.reshape(out.shape[1:]) if squeeze else out
+    return x.reshape(n, layout.n_groups, layout.n_slots, d)
 
 
 def ungroup(g: Tensor, layout: GroupLayout) -> Tensor:
-    """Exact inverse of :func:`group`; padded slots are discarded."""
-    g, squeeze = _split_batch(g)
+    """Exact inverse of :func:`group`: (N, n_groups, n_slots, D) back to
+    (N, H, W, D); padded slots are discarded."""
     n, ng, ns, d = g.shape
     if (ng, ns) != (layout.n_groups, layout.n_slots):
         raise T.ShapeError(f"grouped shape {(ng, ns)} does not match layout")
@@ -150,9 +128,7 @@ def ungroup(g: Tensor, layout: GroupLayout) -> Tensor:
         x = x.permute(0, 1, 3, 2, 4, 5)
     else:
         x = x.permute(0, 3, 1, 4, 2, 5)
-    x = x.reshape(n, hp, wp, d)
-    out = T.crop_hw(x, *layout.grid)
-    return out.reshape(out.shape[1:]) if squeeze else out
+    return T.crop_hw(x.reshape(n, hp, wp, d), *layout.grid)
 
 
 def key_padding_logits(layout: GroupLayout, dtype) -> np.ndarray | None:
@@ -203,17 +179,19 @@ class GroupedAttention(Module):
         self.out_proj = Linear(rng, dim, dim, dtype)
         self.bias = bias_provider
 
-    def __call__(self, g: Tensor, layout: GroupLayout) -> Tensor:
+    def qkv(self, g: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """Head-major q, k and v, each (N, groups, heads, slots, dim/heads),
+        of grouped tokens (N, groups, slots, dim)."""
         n, ng, ns, dim = g.shape
-        h = self.heads
-        d = dim // h
 
         def heads_first(t: Tensor) -> Tensor:
-            return t.reshape(n, ng, ns, h, d).permute(0, 1, 3, 2, 4)
+            return t.reshape(n, ng, ns, self.heads, dim // self.heads).permute(0, 1, 3, 2, 4)
 
-        q = heads_first(self.q_proj(g))
-        k = heads_first(self.k_proj(g))
-        v = heads_first(self.v_proj(g))
+        return heads_first(self.q_proj(g)), heads_first(self.k_proj(g)), heads_first(self.v_proj(g))
+
+    def __call__(self, g: Tensor, layout: GroupLayout) -> Tensor:
+        n, ng, ns, dim = g.shape
+        q, k, v = self.qkv(g)
         bias = None
         if self.bias is not None:
             bias = self.bias.bias_matrix(layout).permute(2, 0, 1)  # (heads, S, S)
@@ -251,7 +229,6 @@ class PooledFullAttention(Module):
         return x.reshape(n, hp // r, r, wp // r, r, d).mean(axis=(2, 4))
 
     def __call__(self, x: Tensor) -> Tensor:
-        x, squeeze = _split_batch(x)
         n, hh, ww, dim = x.shape
         h = self.heads
         d = dim // h
@@ -267,13 +244,4 @@ class PooledFullAttention(Module):
         v = heads_first(self.v_proj(kv).reshape(n, nk, dim), nk)
         mixed = attend_tokens(q, k, v)
         mixed = mixed.permute(0, 2, 1, 3).reshape(n, hh, ww, dim)
-        out = self.out_proj(mixed)
-        return out.reshape(out.shape[1:]) if squeeze else out
-
-
-def lsda_forward(x: Tensor, mode: str, size: int, attention: GroupedAttention) -> Tensor:
-    """Group the grid, attend within groups, restore the grid."""
-    x, squeeze = _split_batch(x)
-    layout = build_layout(mode, x.shape[1], x.shape[2], size)
-    out = ungroup(attention(group(x, layout), layout), layout)
-    return out.reshape(out.shape[1:]) if squeeze else out
+        return self.out_proj(mixed)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import SDA, attend_tokens, build_layout, group, key_padding_logits
-from .layers import Linear
+from .attention import SDA, GroupedAttention, attend_tokens, build_layout, group, key_padding_logits
 from .tensor import Tensor, count_macs, no_grad
 
 __all__ = ["BenchRow", "attention_scaling", "growth_ratios"]
@@ -30,10 +29,6 @@ class BenchRow:
     full_seconds: float
 
 
-def _heads_first(t: Tensor, n: int, groups: int, slots: int, heads: int, d: int) -> Tensor:
-    return t.reshape(n, groups, slots, heads, d).permute(0, 1, 3, 2, 4)
-
-
 def attention_scaling(
     sides: list[int],
     dim: int = 64,
@@ -44,20 +39,16 @@ def attention_scaling(
 ) -> list[BenchRow]:
     """Measure grouped vs full attention-map cost on square grids."""
     rng = np.random.default_rng(seed)
-    proj = [Linear(rng, dim, dim) for _ in range(3)]
+    attn = GroupedAttention(rng, dim, heads)
     rows = []
     for side in sides:
         x = Tensor(rng.standard_normal((1, side, side, dim)).astype(np.float32))
-        d = dim // heads
         with no_grad():
             grouped = build_layout(SDA, side, side, group_size)
             full = build_layout(SDA, side, side, side)
             row_stats = {}
             for label, layout in (("grouped", grouped), ("full", full)):
-                g = group(x, layout)
-                q = _heads_first(proj[0](g), 1, layout.n_groups, layout.n_slots, heads, d)
-                k = _heads_first(proj[1](g), 1, layout.n_groups, layout.n_slots, heads, d)
-                v = _heads_first(proj[2](g), 1, layout.n_groups, layout.n_slots, heads, d)
+                q, k, v = attn.qkv(group(x, layout))
                 pad = key_padding_logits(layout, np.float32)
                 with count_macs() as counter:
                     start = time.perf_counter()

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import GroupLayout
+from .embed import ConfigError
 from .layers import LayerNorm, Linear, Module, trunc_normal
 from .tensor import Tensor
 
@@ -29,10 +30,18 @@ __all__ = [
     "RelativePositionBias",
     "AbsolutePositionEmbedding",
     "bake_to_table",
+    "dpb_hidden_width",
     "pair_offset_index",
 ]
 
 BIAS_KINDS = ("ape", "rpb", "dpb", "dpb-res")
+
+
+def dpb_hidden_width(dim: int) -> int:
+    """Hidden width of the dynamic-position-bias MLP of a stage of width ``dim``."""
+    if dim % 4:
+        raise ConfigError(f"dim {dim} must be divisible by 4 (bias MLP hidden width)")
+    return dim // 4
 
 
 class BiasRangeError(RuntimeError):
@@ -67,9 +76,7 @@ class DynamicPositionBias(Module):
     kind = "dpb"
 
     def __init__(self, rng, dim: int, heads: int, residual: bool = False, dtype=np.float32):
-        if dim % 4:
-            raise ValueError("embedding dim must be divisible by 4")
-        hidden = dim // 4
+        hidden = dpb_hidden_width(dim)
         self.heads = heads
         self.residual = residual
         self.dtype = np.dtype(dtype)

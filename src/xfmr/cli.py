@@ -15,14 +15,14 @@ import numpy as np
 
 from . import tensor as T
 from .analysis import check_against_targets, count_flops, count_params
-from .attention import build_layout
 from .bench import attention_scaling, format_table, growth_ratios
-from .bias import BiasRangeError, bake_to_table
+from .bias import BIAS_KINDS, BiasRangeError, bake_to_table
 from .checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from .config import TOY_TRAINING, RunConfig, emit_config, load_config, parse_config, to_model_spec
 from .embed import ConfigError
 from .gradcheck import GradCheckError, grad_check
-from .model import VARIANT_NAMES, build_model, build_variant, canonical_variant, toy_spec
+from .model import (ATTENTION_MODES, CEL_KERNELS, VARIANT_NAMES, build_model, build_variant,
+                    canonical_variant, toy_spec)
 from .tensor import ShapeError, Tensor, cross_entropy
 from .train import DivergenceError, train_toy
 
@@ -247,11 +247,9 @@ def cmd_bake_dpb(args) -> int:
     with T.no_grad():
         live = model(x).data.copy()
 
-    grids = spec.stage_grids()
-    for s, blocks in enumerate(model.stages):
-        for block in blocks:
-            layout = build_layout(block.mode, grids[s][0], grids[s][1], block.group_size)
-            block.attn.bias = bake_to_table(block.attn.bias, layout.slots[0], layout.slots[1])
+    for blocks, planned in zip(model.stages, spec.block_plan()):
+        for block, p in zip(blocks, planned):
+            block.attn.bias = bake_to_table(block.attn.bias, *p.layout.slots)
     with T.no_grad():
         frozen = model(x).data.copy()
     diff = float(np.abs(live - frozen).max())
@@ -277,9 +275,9 @@ def _add_common(p: argparse.ArgumentParser, seed_default=None) -> None:
     p.add_argument("--variant", choices=[*VARIANT_NAMES, "t", "s", "b", "l", "toy"])
     p.add_argument("--task", choices=["classification", "dense"])
     p.add_argument("--config", metavar="PATH")
-    p.add_argument("--bias", choices=["ape", "rpb", "dpb", "dpb-res"])
-    p.add_argument("--attn", choices=["lsda", "sda-only", "pvt-like"])
-    p.add_argument("--cel", choices=["cross", "single", "two"])
+    p.add_argument("--bias", choices=BIAS_KINDS)
+    p.add_argument("--attn", choices=ATTENTION_MODES)
+    p.add_argument("--cel", choices=tuple(CEL_KERNELS))
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--size", type=int, nargs=2, metavar=("H", "W"))
 

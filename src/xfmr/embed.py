@@ -88,6 +88,8 @@ class CelSpec:
         return (kernel - self.stride) // 2
 
     def output_grid(self, height: int, width: int) -> tuple[int, int]:
+        if height < 1 or width < 1:
+            raise ConfigError(f"input {height}x{width} must be at least 1x1")
         if height % self.stride or width % self.stride:
             raise ConfigError(
                 f"input {height}x{width} not divisible by stride {self.stride}"

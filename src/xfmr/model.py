@@ -8,13 +8,15 @@ reference configuration tables structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as T
-from .attention import LDA, SDA, GroupedAttention, PooledFullAttention, build_layout, group, ungroup
-from .bias import AbsolutePositionEmbedding, DynamicPositionBias, RelativePositionBias
+from .attention import LDA, SDA, GroupedAttention, GroupLayout, PooledFullAttention, build_layout, group, ungroup
+from .bias import (BIAS_KINDS, AbsolutePositionEmbedding, DynamicPositionBias, RelativePositionBias,
+                   dpb_hidden_width)
 from .embed import CelSpec, ConfigError, CrossScaleEmbedding
 from .layers import LayerNorm, Linear, Mlp, Module, drop_path_mask
 from .tensor import Tensor
@@ -22,6 +24,7 @@ from .tensor import Tensor
 __all__ = [
     "StageSpec",
     "ModelSpec",
+    "PlannedBlock",
     "VARIANT_NAMES",
     "build_variant",
     "toy_spec",
@@ -53,10 +56,18 @@ class StageSpec:
             raise ConfigError("stage dim must equal its embedding layer dim")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.dim % 4:
-            raise ConfigError("dim must be divisible by 4 (bias MLP hidden width)")
+        dpb_hidden_width(self.dim)
         if self.blocks < 1 or self.group_size < 1 or self.interval < 1:
             raise ConfigError("blocks, group size and interval must be positive")
+
+
+class PlannedBlock(NamedTuple):
+    """One block's grouping: mode, group extent (G for SDA, interval I for
+    LDA) and the layout that extent gives on its stage's grid."""
+
+    mode: str
+    size: int
+    layout: GroupLayout
 
 
 @dataclass(frozen=True)
@@ -76,17 +87,35 @@ class ModelSpec:
                 raise ConfigError("each stage must double the embedding dim")
         if self.attention_mode not in ATTENTION_MODES:
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
-        if self.bias_kind not in ("ape", "rpb", "dpb", "dpb-res"):
+        if self.bias_kind not in BIAS_KINDS:
             raise ConfigError(f"unknown bias kind {self.bias_kind!r}")
 
-    def stage_grids(self) -> list[tuple[int, int]]:
-        """Embedding-grid extents after each stage's embedding layer."""
-        h, w = self.input_size
+    def stage_grids(self, input_size: tuple[int, int] | None = None) -> list[tuple[int, int]]:
+        """Embedding-grid extents after each stage's embedding layer, for
+        ``input_size`` (default: the build input size)."""
+        h, w = input_size or self.input_size
         grids = []
         for stage in self.stages:
             h, w = stage.cel.output_grid(h, w)
             grids.append((h, w))
         return grids
+
+    def block_plan(self, input_size: tuple[int, int] | None = None) -> list[list[PlannedBlock]]:
+        """Per stage, one :class:`PlannedBlock` per block, laid out on that
+        stage's grid for ``input_size`` (default: the build input size).
+
+        Blocks alternate short-distance (even) and long-distance (odd)
+        grouping; "sda-only" makes every block short-distance.
+        """
+        plan = []
+        for stage, (h, w) in zip(self.stages, self.stage_grids(input_size)):
+            blocks = []
+            for b in range(stage.blocks):
+                mode = SDA if self.attention_mode == "sda-only" or b % 2 == 0 else LDA
+                size = stage.group_size if mode == SDA else stage.interval
+                blocks.append(PlannedBlock(mode, size, build_layout(mode, h, w, size)))
+            plan.append(blocks)
+        return plan
 
     def total_blocks(self) -> int:
         return sum(s.blocks for s in self.stages)
@@ -108,8 +137,8 @@ VARIANT_NAMES = tuple(_VARIANTS)
 def canonical_variant(name: str) -> str:
     return _ALIASES.get(name.lower(), name.lower())
 
-STAGE1_KERNELS = (4, 8, 16, 32)
-LATER_KERNELS = (2, 4)
+# embedding-layer kernel sets per mode: (stage 1, stages 2-4)
+CEL_KERNELS = {"cross": ((4, 8, 16, 32), (2, 4)), "two": ((4, 8), (2, 4)), "single": ((4,), (2,))}
 
 # grouping hyperparameters: classification uses G=7 everywhere with intervals
 # 8/4/2/1; the dense-task setting widens the first two stages
@@ -119,14 +148,23 @@ _TASK_GROUPING = {
 }
 
 
-def _cel_kernels(cel_mode: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if cel_mode == "cross":
-        return STAGE1_KERNELS, LATER_KERNELS
-    if cel_mode == "two":
-        return (4, 8), (2, 4)
-    if cel_mode == "single":
-        return (4,), (2,)
-    raise ConfigError(f"unknown embedding-layer mode {cel_mode!r}")
+def _stages(cel_mode: str, dims, heads, groups, intervals, depths) -> tuple[StageSpec, ...]:
+    """Four stages from per-stage tuples; stage 1 embeds at stride 4, later
+    stages at stride 2."""
+    if cel_mode not in CEL_KERNELS:
+        raise ConfigError(f"unknown embedding-layer mode {cel_mode!r}")
+    first, later = CEL_KERNELS[cel_mode]
+    return tuple(
+        StageSpec(
+            cel=CelSpec(first if s == 0 else later, 4 if s == 0 else 2, dims[s]),
+            dim=dims[s],
+            heads=heads[s],
+            group_size=groups[s],
+            interval=intervals[s],
+            blocks=depths[s],
+        )
+        for s in range(4)
+    )
 
 
 def build_variant(
@@ -145,23 +183,8 @@ def build_variant(
         raise ConfigError(f"unknown task {task!r}")
     dims, heads, depths, drop_path = _VARIANTS[key]
     groups, intervals, default_size = _TASK_GROUPING[task]
-    k1, kn = _cel_kernels(cel_mode)
-    stages = []
-    for s in range(4):
-        kernels = k1 if s == 0 else kn
-        stride = 4 if s == 0 else 2
-        stages.append(
-            StageSpec(
-                cel=CelSpec(kernels, stride, dims[s]),
-                dim=dims[s],
-                heads=heads[s],
-                group_size=groups[s],
-                interval=intervals[s],
-                blocks=depths[s],
-            )
-        )
     return ModelSpec(
-        stages=tuple(stages),
+        stages=_stages(cel_mode, dims, heads, groups, intervals, depths),
         classes=classes,
         bias_kind=bias_kind,
         attention_mode=attention_mode,
@@ -178,26 +201,9 @@ def toy_spec(
 ) -> ModelSpec:
     """Smallest configuration that still exercises both grouping modes:
     64x64 input, grids 16/8/4/2, dims 16/32/64/128."""
-    dims = (16, 32, 64, 128)
-    heads = (1, 2, 4, 8)
-    depths = (1, 1, 2, 1)
-    intervals = (2, 2, 1, 1)
-    stages = []
-    for s in range(4):
-        kernels = (4, 8) if s == 0 else (2, 4)
-        stride = 4 if s == 0 else 2
-        stages.append(
-            StageSpec(
-                cel=CelSpec(kernels, stride, dims[s]),
-                dim=dims[s],
-                heads=heads[s],
-                group_size=2,
-                interval=intervals[s],
-                blocks=depths[s],
-            )
-        )
     return ModelSpec(
-        stages=tuple(stages),
+        stages=_stages("two", dims=(16, 32, 64, 128), heads=(1, 2, 4, 8), groups=(2, 2, 2, 2),
+                       intervals=(2, 2, 1, 1), depths=(1, 1, 2, 1)),
         classes=classes,
         bias_kind=bias_kind,
         attention_mode=attention_mode,
@@ -209,8 +215,7 @@ def toy_spec(
 # -- runtime modules -------------------------------------------------------------
 
 
-def _make_bias_provider(rng, spec: ModelSpec, stage: StageSpec, mode: str,
-                        stage_grid: tuple[int, int], dtype):
+def _make_bias_provider(rng, spec: ModelSpec, stage: StageSpec, planned: PlannedBlock, dtype):
     if spec.bias_kind == "ape":
         return None
     if spec.bias_kind in ("dpb", "dpb-res"):
@@ -218,25 +223,23 @@ def _make_bias_provider(rng, spec: ModelSpec, stage: StageSpec, mode: str,
             rng, stage.dim, stage.heads, residual=spec.bias_kind == "dpb-res", dtype=dtype
         )
     # fixed table sized for this block's slot extent at the build input size
-    size = stage.group_size if mode == SDA else stage.interval
-    layout = build_layout(mode, stage_grid[0], stage_grid[1], size)
-    return RelativePositionBias(rng, stage.heads, layout.slots[0], layout.slots[1], dtype=dtype)
+    return RelativePositionBias(rng, stage.heads, *planned.layout.slots, dtype=dtype)
 
 
 class Block(Module):
     """Pre-norm residual block: grouped attention then token MLP."""
 
-    def __init__(self, rng, spec: ModelSpec, stage: StageSpec, mode: str,
-                 drop_rate: float, stage_grid: tuple[int, int], reduction: int, dtype):
-        self.mode = mode
+    def __init__(self, rng, spec: ModelSpec, stage: StageSpec, planned: PlannedBlock,
+                 drop_rate: float, reduction: int, dtype):
+        self.mode = planned.mode
+        self.group_size = planned.size
         self.drop_rate = drop_rate
         self.norm1 = LayerNorm(stage.dim, dtype)
         if spec.attention_mode == "pvt-like":
             self.attn = PooledFullAttention(rng, stage.dim, stage.heads, reduction, dtype)
         else:
-            provider = _make_bias_provider(rng, spec, stage, mode, stage_grid, dtype)
+            provider = _make_bias_provider(rng, spec, stage, planned, dtype)
             self.attn = GroupedAttention(rng, stage.dim, stage.heads, provider, dtype)
-        self.group_size = stage.group_size if mode == SDA else stage.interval
         self.norm2 = LayerNorm(stage.dim, dtype)
         self.mlp = Mlp(rng, stage.dim, MLP_RATIO * stage.dim, dtype)
 
@@ -266,28 +269,19 @@ class Classifier(Module):
         rng = np.random.default_rng(seed)
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        grids = spec.stage_grids()
         total = spec.total_blocks()
-        rates = np.linspace(0.0, spec.drop_path_max, total) if total > 1 else np.zeros(1)
+        rates = iter(np.linspace(0.0, spec.drop_path_max, total) if total > 1 else np.zeros(1))
         self.cels = []
         self.stages = []
         in_ch = 3
-        block_index = 0
-        for s, stage in enumerate(spec.stages):
+        for s, (stage, planned) in enumerate(zip(spec.stages, spec.block_plan())):
             self.cels.append(CrossScaleEmbedding(rng, in_ch, stage.cel, dtype))
-            blocks = []
-            for b in range(stage.blocks):
-                mode = SDA if spec.attention_mode == "sda-only" or b % 2 == 0 else LDA
-                blocks.append(
-                    Block(rng, spec, stage, mode, float(rates[block_index]), grids[s],
-                          PVT_REDUCTIONS[s], dtype)
-                )
-                block_index += 1
-            self.stages.append(blocks)
+            self.stages.append([Block(rng, spec, stage, p, float(next(rates)), PVT_REDUCTIONS[s], dtype)
+                                for p in planned])
             in_ch = stage.dim
         self.ape = None
         if spec.bias_kind == "ape":
-            self.ape = AbsolutePositionEmbedding(rng, grids[0], spec.stages[0].dim, dtype)
+            self.ape = AbsolutePositionEmbedding(rng, spec.stage_grids()[0], spec.stages[0].dim, dtype)
         self.final_norm = LayerNorm(spec.stages[3].dim, dtype)
         self.head = Linear(rng, spec.stages[3].dim, spec.classes, dtype)
 
@@ -303,12 +297,11 @@ class Classifier(Module):
         return x
 
     def __call__(self, images: Tensor, train: bool = False, rng=None) -> Tensor:
-        x, squeeze = (images.reshape((1,) + images.shape), True) if images.data.ndim == 3 else (images, False)
-        x = self.features(x, train=train, rng=rng)
+        """Logits (N, classes) of a batch (N, H, W, 3)."""
+        x = self.features(images, train=train, rng=rng)
         x = self.final_norm(x)
         x = T.mean_pool_hw(x)
-        logits = self.head(x)
-        return logits.reshape(logits.shape[1:]) if squeeze else logits
+        return self.head(x)
 
 
 def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Classifier:
@@ -317,8 +310,12 @@ def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Classifier:
 
 
 def model_forward(model: Classifier, images: Tensor | np.ndarray) -> Tensor:
-    """Inference-mode logits for a batch (N, H, W, 3) or single image."""
+    """Inference-mode logits: (N, classes) for a batch (N, H, W, 3), or
+    (classes,) for one (H, W, 3) image, which gets a batch axis of 1 here;
+    every layer below takes batched (N, H, W, C) tensors only."""
     if not isinstance(images, Tensor):
         images = Tensor(images)
+    single = images.data.ndim == 3
     with T.no_grad():
-        return model(images)
+        logits = model(Tensor(images.data[None]) if single else images)
+    return Tensor(logits.data[0]) if single else logits

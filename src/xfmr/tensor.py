@@ -513,7 +513,7 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding: int) -> Tensor:
-    """Strided 2-D cross-correlation on (..., H, W, Cin) with kernel (kh, kw, Cin, Cout).
+    """Strided 2-D cross-correlation of a batch (N, H, W, Cin) with kernel (kh, kw, Cin, Cout).
 
     Output extents follow floor((H + 2p - k) / s) + 1 with symmetric zero
     padding of ``padding`` per side.
@@ -537,9 +537,8 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding:
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d wants stride >= 1 and padding >= 0, got {stride} and {padding}")
     x = t.data
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d wants a batch (N, H, W, Cin), got shape {x.shape}")
     n, h, w, cin = x.shape
     kh, kw, kcin, cout = kernel.data.shape
     if kcin != cin:
@@ -574,15 +573,12 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding:
     if bias is not None:
         out += bias.data
     _record_macs(n * oh * ow * cout * kh * kw * cin)
-    if squeeze:
-        out = out[0]
 
     def _bw(g):
-        gb = g[None] if squeeze else g
         dy = np.zeros((n, hq, wq, q, r, cout), dtype=g.dtype)
         for a in range(q):
             for b in range(r):
-                dy[:, a : a + oh, b : b + ow, a, b] = gb
+                dy[:, a : a + oh, b : b + ow, a, b] = g
         dy = dy.reshape(-1, q * r * cout)
         if _needs_grad(kernel):
             dk = (blocks().T @ dy).reshape(s, s, cin, q, r, cout).transpose(3, 0, 4, 1, 2, 5)
@@ -593,9 +589,9 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding:
             if not tiles:
                 dxq, dx = dx, np.zeros_like(x)
                 dx[:, : hq * s - padding, : wq * s - padding] = dxq[:, padding : padding + h, padding : padding + w]
-            _accumulate(t, dx[0] if squeeze else dx)
+            _accumulate(t, dx)
         if bias is not None and _needs_grad(bias):
-            _accumulate(bias, gb.sum(axis=(0, 1, 2)))
+            _accumulate(bias, g.sum(axis=(0, 1, 2)))
 
     parents = (t, kernel) if bias is None else (t, kernel, bias)
     return _make(out, parents, _bw)

@@ -5,6 +5,7 @@ measured value so the run doubles as a report (run with -s to see them).
 """
 
 import math
+import re
 import time
 
 import numpy as np
@@ -15,7 +16,6 @@ from xfmr import (
     BiasRangeError,
     DynamicPositionBias,
     GroupedAttention,
-    RunConfig,
     Tensor,
     bake_to_table,
     build_layout,
@@ -35,7 +35,6 @@ from xfmr.analysis import CEL_TARGETS, FLOP_TARGETS, PARAM_TARGETS, POSITION_PAR
 from xfmr.attention import attend_tokens, key_padding_logits
 from xfmr.data import linear_probe_accuracy
 from xfmr.tensor import cross_entropy
-from xfmr.train import train_toy
 
 from oracles import masked_full_attention
 
@@ -144,11 +143,9 @@ def test_06_bias_table_and_bake_equivalence():
     x = Tensor(np.random.default_rng(5).standard_normal((2, 64, 64, 3)).astype(np.float32))
     with no_grad():
         live = model(x).data.copy()
-    grids = spec.stage_grids()
-    for s, blocks in enumerate(model.stages):
-        for block in blocks:
-            layout = build_layout(block.mode, grids[s][0], grids[s][1], block.group_size)
-            block.attn.bias = bake_to_table(block.attn.bias, layout.slots[0], layout.slots[1])
+    for blocks, planned in zip(model.stages, spec.block_plan()):
+        for block, p in zip(blocks, planned):
+            block.attn.bias = bake_to_table(block.attn.bias, *p.layout.slots)
     with no_grad():
         frozen = model(x).data.copy()
     diff = np.abs(live - frozen).max()
@@ -166,13 +163,7 @@ def _attention_map_macs(side: int, group_size: int) -> int:
     layout = build_layout("sda", side, side, group_size)
     x = Tensor(rng.standard_normal((1, side, side, dim)).astype(np.float32))
     with no_grad():
-        g = group(x, layout)
-        d = dim // heads
-
-        def hf(t):
-            return t.reshape(1, layout.n_groups, layout.n_slots, heads, d).permute(0, 1, 3, 2, 4)
-
-        q, k, v = hf(attn.q_proj(g)), hf(attn.k_proj(g)), hf(attn.v_proj(g))
+        q, k, v = attn.qkv(group(x, layout))
         with count_macs() as counter:
             attend_tokens(q, k, v, key_logits=key_padding_logits(layout, np.float32))
     return counter.macs
@@ -216,22 +207,23 @@ def test_08_full_toy_model_gradient_check():
     )
 
 
-def test_09_toy_training_reaches_full_accuracy():
-    start = time.time()
-    cfg = RunConfig(variant="toy", classes=4, lr=1e-2, weight_decay=0.01,
-                    warmup=20, drop_path=0.0, steps=500, seed=0)
-    model, result = train_toy(cfg, log=None)
-    assert result.reached_full_accuracy_at is not None
-    assert result.reached_full_accuracy_at <= 500
-    assert abs(result.losses[0] - math.log(4)) / math.log(4) <= 0.2
+def test_09_toy_training_reaches_full_accuracy(toy_training_run):
+    # the toy recipe, seed 0, 500 steps, 4 classes (see conftest.py)
+    code, out, _ = toy_training_run
+    assert code == 0
+    reached = re.search(r"\(100% at step (\d+)\)", out)
+    assert reached is not None
+    assert int(reached.group(1)) <= 500
+    first_loss = float(re.search(r"^step +1 .* loss (\S+)", out, re.M).group(1))
+    assert abs(first_loss - math.log(4)) / math.log(4) <= 0.2
     # the task is not linearly trivial: a pixel probe generalizes poorly
-    train_x, train_y = synth_dataset(cfg.seed, 32, 64, 4)
+    train_x, train_y = synth_dataset(0, 32, 64, 4)
     test_x, test_y = synth_dataset(909, 96, 64, 4)
     probe = linear_probe_accuracy(train_x, train_y, test_x, test_y)
     assert probe < 1.0
     report(
-        f"criterion 9 PASS: 100% train accuracy at step {result.reached_full_accuracy_at} "
-        f"(<= 500), pixel probe held-out {100 * probe:.0f}%, {time.time() - start:.0f}s"
+        f"criterion 9 PASS: 100% train accuracy at step {reached.group(1)} "
+        f"(<= 500), pixel probe held-out {100 * probe:.0f}%"
     )
 
 

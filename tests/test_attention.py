@@ -12,7 +12,6 @@ from xfmr import (
     build_layout,
     grad_check,
     group,
-    lsda_forward,
     no_grad,
     ungroup,
 )
@@ -21,6 +20,15 @@ from xfmr.attention import PooledFullAttention, key_padding_logits
 from oracles import masked_full_attention, walk_layout
 
 rng = np.random.default_rng(99)
+
+
+def grouped_positions(lay):
+    """Group a (1, H, W, 1) grid holding 1 + the flat index r * W + c and
+    return the (group, slot) -> flat index map that :func:`group` applied,
+    with -1 for padded slots."""
+    h, w = lay.grid
+    x = Tensor(1.0 + np.arange(h * w, dtype=np.float64).reshape(1, h, w, 1))
+    return group(x, lay).data[0, :, :, 0].astype(np.int64) - 1
 
 
 class TestLayout:
@@ -33,9 +41,9 @@ class TestLayout:
     def test_lda_9x9_i3_residue_groups(self):
         lay = build_layout("lda", 9, 9, 3)
         assert lay.n_groups == 9 and lay.n_slots == 9
-        gid = lay.forward_group
-        assert gid[0, 0] == gid[3, 0] == gid[6, 0] == gid[0, 3] == gid[3, 6]
-        assert gid[0, 0] != gid[1, 0]
+        group_of = {flat: gid for gid, row in enumerate(grouped_positions(lay)) for flat in row}
+        assert group_of[0] == group_of[3 * 9] == group_of[6 * 9] == group_of[3] == group_of[3 * 9 + 6]
+        assert group_of[0] != group_of[9]
 
     def test_padded_7x5_g3(self):
         lay = build_layout("sda", 7, 5, 3)
@@ -52,11 +60,10 @@ class TestLayout:
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_walker(self, mode, h, w, size):
         lay = build_layout(mode, h, w, size)
+        positions = grouped_positions(lay)
         walked = walk_layout(mode, h, w, size)
         for (r, c), (gid, sid) in walked.items():
-            assert lay.forward_group[r, c] == gid
-            assert lay.forward_slot[r, c] == sid
-            assert lay.inverse_flat[gid, sid] == r * w + c
+            assert positions[gid, sid] == r * w + c
             assert lay.mask[gid, sid]
 
     @given(
@@ -68,10 +75,11 @@ class TestLayout:
     @settings(max_examples=60, deadline=None)
     def test_forward_inverse_identity(self, mode, h, w, size):
         lay = build_layout(mode, h, w, size)
-        # every real position appears exactly once
+        positions = grouped_positions(lay)
+        # every real position appears exactly once, in a real slot
         assert lay.mask.sum() == h * w
-        seen = lay.inverse_flat[lay.mask]
-        assert sorted(seen.tolist()) == list(range(h * w))
+        assert (positions[~lay.mask] == -1).all()
+        assert sorted(positions[lay.mask].tolist()) == list(range(h * w))
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -83,29 +91,29 @@ class TestLayout:
 class TestGroupUngroup:
     def test_constant_fills_real_slots(self):
         lay = build_layout("sda", 5, 5, 3)
-        g = group(Tensor(np.full((5, 5, 2), 7.0)), lay)
-        assert (g.data[lay.mask] == 7.0).all()
-        assert (g.data[~lay.mask] == 0.0).all()
+        g = group(Tensor(np.full((1, 5, 5, 2), 7.0)), lay).data[0]
+        assert (g[lay.mask] == 7.0).all()
+        assert (g[~lay.mask] == 0.0).all()
 
     def test_linear_index_sda(self):
-        x = Tensor(np.arange(16.0).reshape(4, 4, 1))
+        x = Tensor(np.arange(16.0).reshape(1, 4, 4, 1))
         g = group(x, build_layout("sda", 4, 4, 2))
-        assert sorted(g.data[0, :, 0].astype(int).tolist()) == [0, 1, 4, 5]
+        assert sorted(g.data[0, 0, :, 0].astype(int).tolist()) == [0, 1, 4, 5]
 
     def test_matches_algorithm_reshape_chain(self):
-        # unbatched short-distance grouping is exactly the published
-        # reshape(H//G, G, W//G, G, D) -> permute(0, 2, 1, 3, 4) chain
-        x = Tensor(rng.standard_normal((6, 6, 8)))
+        # short-distance grouping is exactly the published
+        # reshape(N, H//G, G, W//G, G, D) -> permute(0, 1, 3, 2, 4, 5) chain
+        x = Tensor(rng.standard_normal((2, 6, 6, 8)))
         lay = build_layout("sda", 6, 6, 3)
         mine = group(x, lay)
-        chain = x.reshape(2, 3, 2, 3, 8).permute(0, 2, 1, 3, 4).reshape(4, 9, 8)
+        chain = x.reshape(2, 2, 3, 2, 3, 8).permute(0, 1, 3, 2, 4, 5).reshape(2, 4, 9, 8)
         assert (mine.data == chain.data).all()
 
     def test_lda_matches_algorithm_reshape_chain(self):
-        x = Tensor(rng.standard_normal((6, 6, 8)))
+        x = Tensor(rng.standard_normal((2, 6, 6, 8)))
         lay = build_layout("lda", 6, 6, 3)  # interval 3, slots 2x2
         mine = group(x, lay)
-        chain = x.reshape(2, 3, 2, 3, 8).permute(1, 3, 0, 2, 4).reshape(9, 4, 8)
+        chain = x.reshape(2, 2, 3, 2, 3, 8).permute(0, 2, 4, 1, 3, 5).reshape(2, 9, 4, 8)
         assert (mine.data == chain.data).all()
 
     @given(
@@ -113,37 +121,42 @@ class TestGroupUngroup:
         st.integers(1, 12),
         st.integers(1, 12),
         st.integers(1, 5),
-        st.booleans(),
+        st.integers(1, 3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_roundtrip_bitwise(self, mode, h, w, size, batched):
+    def test_roundtrip_bitwise(self, mode, h, w, size, batch):
         lay = build_layout(mode, h, w, size)
         r = np.random.default_rng(17)
-        shape = (2, h, w, 3) if batched else (h, w, 3)
-        x = Tensor(r.standard_normal(shape))
+        x = Tensor(r.standard_normal((batch, h, w, 3)))
         assert (ungroup(group(x, lay), lay).data == x.data).all()
 
     def test_ungroup_discards_padded_values(self):
         lay = build_layout("sda", 3, 3, 2)
-        x = Tensor(rng.standard_normal((3, 3, 1)))
+        x = Tensor(rng.standard_normal((1, 3, 3, 1)))
         g = group(x, lay)
         poisoned = g.data.copy()
-        poisoned[~lay.mask] = 1e9
+        poisoned[:, ~lay.mask] = 1e9
         back = ungroup(Tensor(poisoned), lay)
         assert (back.data == x.data).all()
 
     def test_shape_mismatch(self):
         lay = build_layout("sda", 4, 4, 2)
         with pytest.raises(T.ShapeError):
-            group(Tensor(np.zeros((5, 4, 3))), lay)
+            group(Tensor(np.zeros((1, 5, 4, 3))), lay)
         with pytest.raises(T.ShapeError):
-            ungroup(Tensor(np.zeros((3, 4, 3))), lay)
+            ungroup(Tensor(np.zeros((1, 3, 4, 3))), lay)
 
 
 def make_attention(dim=8, heads=2, bias=True, dtype=np.float64, seed=5):
     r = np.random.default_rng(seed)
     provider = DynamicPositionBias(r, dim, heads, dtype=dtype) if bias else None
     return GroupedAttention(r, dim, heads, provider, dtype=dtype)
+
+
+def grouped_attention(x, mode, size, attn):
+    """Group the grid of ``x``, attend within groups, restore the grid."""
+    lay = build_layout(mode, x.shape[1], x.shape[2], size)
+    return ungroup(attn(group(x, lay), lay), lay)
 
 
 class TestGroupedAttention:
@@ -198,8 +211,8 @@ class TestGroupedAttention:
         attn = make_attention(bias=False)
         x = Tensor(rng.standard_normal((1, 4, 4, 8)))
         with no_grad():
-            a = lsda_forward(x, "sda", 4, attn).data
-            b = lsda_forward(x, "lda", 1, attn).data
+            a = grouped_attention(x, "sda", 4, attn).data
+            b = grouped_attention(x, "lda", 1, attn).data
         assert np.abs(a - b).max() <= 1e-12
 
     def test_gradcheck_through_lsda(self):
@@ -207,7 +220,7 @@ class TestGroupedAttention:
         x = Tensor(np.random.default_rng(12).standard_normal((1, 4, 4, 4)) * 0.5, requires_grad=True)
         params = [("x", x)] + list(attn.named_parameters())
         rep = grad_check(
-            lambda: (lsda_forward(x, "sda", 2, attn) * 0.1).sum(),
+            lambda: (grouped_attention(x, "sda", 2, attn) * 0.1).sum(),
             params,
             tol=1e-4,
             max_entries_per_tensor=6,
@@ -218,7 +231,7 @@ class TestGroupedAttention:
         attn = make_attention(dim=4, heads=1, seed=13)
         x = Tensor(np.random.default_rng(14).standard_normal((1, 3, 5, 4)) * 0.5, requires_grad=True)
         rep = grad_check(
-            lambda: (lsda_forward(x, "lda", 2, attn) * 0.1).sum(),
+            lambda: (grouped_attention(x, "lda", 2, attn) * 0.1).sum(),
             [("x", x)] + list(attn.named_parameters()),
             tol=1e-4,
             max_entries_per_tensor=6,
@@ -234,11 +247,7 @@ class TestComplexityScaling:
         x = Tensor(r.standard_normal((1, side, side, dim)).astype(np.float32))
         attn = GroupedAttention(r, dim, heads, None, dtype=np.float32)
         with no_grad():
-            g = group(x, lay)
-            d = dim // heads
-            q = attn.q_proj(g).reshape(1, lay.n_groups, lay.n_slots, heads, d).permute(0, 1, 3, 2, 4)
-            k = attn.k_proj(g).reshape(1, lay.n_groups, lay.n_slots, heads, d).permute(0, 1, 3, 2, 4)
-            v = attn.v_proj(g).reshape(1, lay.n_groups, lay.n_slots, heads, d).permute(0, 1, 3, 2, 4)
+            q, k, v = attn.qkv(group(x, lay))
             with T.count_macs() as counter:
                 attend_tokens(q, k, v, key_logits=key_padding_logits(lay, np.float32))
         return counter.macs
@@ -252,7 +261,8 @@ class TestComplexityScaling:
         assert full_s28 == 16 * full_s14
 
     def test_group_equals_grid_collapses_to_full(self):
-        assert self._attention_map_macs(14, 14) == self._attention_map_macs(14, 14)
+        # one group of all 196 slots: scores and mixing each take 196 * 196 * 16 MACs
+        assert self._attention_map_macs(14, 14) == 2 * 196 * 196 * 16
         lay_full = build_layout("sda", 14, 14, 14)
         assert lay_full.n_groups == 1
 

@@ -93,10 +93,8 @@ class TestGradcheck:
 
 
 class TestTrainAndBake:
-    def test_train_bake_cycle(self, capsys, tmp_path):
-        ckpt = tmp_path / "toy.xfmr"
-        code, out, _ = run(capsys, "train-toy", "--seed", "0", "--steps", "500",
-                           "--out", str(ckpt))
+    def test_train_bake_cycle(self, capsys, tmp_path, toy_training_run):
+        code, out, ckpt = toy_training_run  # train-toy --seed 0 --steps 500 --out ckpt
         assert code == 0
         assert "100% at step" in out
         entries = load_checkpoint(ckpt)
@@ -220,6 +218,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "forward", "--variant", "toy", "--size", "0", "0")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv, size", [
+        (("count", "--variant", "toy", "--size", "0", "0"), "0x0"),
+        (("forward", "--variant", "toy", "--bias", "rpb", "--size", "0", "0"), "0x0"),
+        (("count", "--variant", "tiny", "--size", "-224", "-224"), "-224x-224"),
+    ])
+    def test_non_positive_input_size_is_2(self, capsys, argv, size):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: input {size} must be at least 1x1"]
+
+    def test_non_positive_config_input_size_is_2(self, capsys, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("variant = toy\ninput_size = 0 0\n")
+        code, out, err = run(capsys, "count", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: input 0x0 must be at least 1x1"]
 
     @pytest.mark.parametrize("command", ["count", "forward"])
     def test_kernel_smaller_than_stride_is_2(self, capsys, tmp_path, command):

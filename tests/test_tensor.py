@@ -286,28 +286,32 @@ class TestLayerNorm:
 
 class TestConv2d:
     def test_1x1_is_pixelwise_linear(self):
-        x = randt(5, 5, 3)
+        x = randt(1, 5, 5, 3)
         k = randt(1, 1, 3, 4)
         b = randt(4)
         out = T.conv2d(x, k, b, 1, 0)
         assert np.allclose(out.data, x.data @ k.data[0, 0] + b.data, atol=1e-6)
 
     def test_output_extent_rule(self):
-        x = randt(224, 224, 3)
+        x = randt(1, 224, 224, 3)
         out = T.conv2d(x, randt(8, 8, 3, 2), None, 4, 2)
-        assert out.shape == (56, 56, 2)
+        assert out.shape == (1, 56, 56, 2)
 
     def test_against_direct_summation(self):
-        x = Tensor(rng.standard_normal((7, 6, 2)))
+        x = Tensor(rng.standard_normal((1, 7, 6, 2)))
         k = Tensor(rng.standard_normal((3, 3, 2, 4)))
         b = Tensor(rng.standard_normal(4))
-        mine = T.conv2d(x, k, b, 2, 1).data
-        ref = conv2d_loops(x.data, k.data, b.data, 2, 1)
+        mine = T.conv2d(x, k, b, 2, 1).data[0]
+        ref = conv2d_loops(x.data[0], k.data, b.data, 2, 1)
         assert np.abs(mine - ref).max() <= 1e-10
 
     def test_kernel_larger_than_padded_input(self):
-        with pytest.raises(T.ShapeError):
-            T.conv2d(randt(3, 3, 1), randt(5, 5, 1, 1), None, 1, 0)
+        with pytest.raises(T.ShapeError, match="larger than padded input"):
+            T.conv2d(randt(1, 3, 3, 1), randt(5, 5, 1, 1), None, 1, 0)
+
+    def test_rejects_unbatched_input(self):
+        with pytest.raises(T.ShapeError, match=r"wants a batch \(N, H, W, Cin\)"):
+            T.conv2d(randt(3, 3, 1), randt(1, 1, 1, 1), None, 1, 0)
 
     def test_batched(self):
         x = randt(3, 8, 8, 2)
@@ -326,28 +330,27 @@ class TestConv2d:
     @given(
         kh=st.integers(1, 9), kw=st.integers(1, 9), stride=st.integers(1, 4), padding=st.integers(0, 3),
         extra_h=st.integers(0, 4), extra_w=st.integers(0, 4), cin=st.integers(1, 4), cout=st.integers(1, 4),
-        batch=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2**16),
+        batch=st.sampled_from([1, 2]), seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
     def test_against_direct_summation_any_geometry(self, kh, kw, stride, padding, extra_h, extra_w,
                                                    cin, cout, batch, seed):
-        # k not a multiple of s, padded extents not divisible by s, unbatched input
+        # k not a multiple of s, padded extents not divisible by s
         h, w = max(1, kh - 2 * padding) + extra_h, max(1, kw - 2 * padding) + extra_w
         r = np.random.default_rng(seed)
-        images = r.standard_normal((batch or 1, h, w, cin))
+        images = r.standard_normal((batch, h, w, cin))
         k, b = r.standard_normal((kh, kw, cin, cout)), r.standard_normal(cout)
-        x = Tensor(images if batch else images[0])
         with T.count_macs() as counter:
-            mine = T.conv2d(x, Tensor(k), Tensor(b), stride, padding).data
+            mine = T.conv2d(Tensor(images), Tensor(k), Tensor(b), stride, padding).data
         ref = np.stack([conv2d_loops(img, k, b, stride, padding) for img in images])
         n, oh, ow, _ = ref.shape
-        assert mine.shape == (ref.shape if batch else ref.shape[1:])
-        assert np.abs(mine - (ref if batch else ref[0])).max() <= 1e-10
+        assert mine.shape == ref.shape
+        assert np.abs(mine - ref).max() <= 1e-10
         assert counter.macs == n * oh * ow * cout * kh * kw * cin
 
     @pytest.mark.parametrize("shape, kernel, stride, padding", [
         ((2, 12, 8, 2), 8, 4, 2),  # stage-1 embedding geometry: k a multiple of s
-        ((7, 6, 2), 3, 2, 1),      # k not a multiple of s, unbatched, padded extent odd
+        ((1, 7, 6, 2), 3, 2, 1),   # k not a multiple of s, padded extent odd
         ((2, 9, 11, 1), 3, 4, 0),  # k smaller than s: the last input row feeds no output
     ])
     def test_grad_space_to_depth_geometries(self, shape, kernel, stride, padding):
@@ -370,7 +373,7 @@ class TestConv2d:
     @pytest.mark.parametrize("stride, padding", [(0, 0), (-1, 0), (1, -1)])
     def test_bad_stride_or_padding(self, stride, padding):
         with pytest.raises(T.ShapeError, match="stride >= 1 and padding >= 0"):
-            T.conv2d(randt(8, 8, 1), randt(2, 2, 1, 1), None, stride, padding)
+            T.conv2d(randt(1, 8, 8, 1), randt(2, 2, 1, 1), None, stride, padding)
 
 
 class TestStandardLayers:
@@ -456,7 +459,7 @@ class TestAutodiffPlumbing:
         assert c.macs == 3 * 4 * 5
 
     def test_mac_counter_conv(self):
-        x = randt(8, 8, 2)
+        x = randt(1, 8, 8, 2)
         with T.count_macs() as c:
             T.conv2d(x, randt(2, 2, 2, 3), None, 2, 0)
         assert c.macs == 1 * 4 * 4 * 3 * 2 * 2 * 2
