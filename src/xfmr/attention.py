@@ -98,6 +98,8 @@ def group(x: Tensor, layout: GroupLayout) -> Tensor:
     Pure reshape/permute composition on the zero-padded grid; padded slots
     hold zeros and are excluded from attention by the layout mask.
     """
+    if x.data.ndim != 4:
+        raise T.ShapeError(f"group wants a batch (N, H, W, D), got shape {x.shape}")
     n, h, w, d = x.shape
     if (h, w) != layout.grid:
         raise T.ShapeError(f"tensor grid {(h, w)} does not match layout {layout.grid}")
@@ -117,6 +119,8 @@ def group(x: Tensor, layout: GroupLayout) -> Tensor:
 def ungroup(g: Tensor, layout: GroupLayout) -> Tensor:
     """Exact inverse of :func:`group`: (N, n_groups, n_slots, D) back to
     (N, H, W, D); padded slots are discarded."""
+    if g.data.ndim != 4:
+        raise T.ShapeError(f"ungroup wants a batch (N, n_groups, n_slots, D), got shape {g.shape}")
     n, ng, ns, d = g.shape
     if (ng, ns) != (layout.n_groups, layout.n_slots):
         raise T.ShapeError(f"grouped shape {(ng, ns)} does not match layout")

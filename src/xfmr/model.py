@@ -233,6 +233,7 @@ class Block(Module):
                  drop_rate: float, reduction: int, dtype):
         self.mode = planned.mode
         self.group_size = planned.size
+        self.layout = planned.layout
         self.drop_rate = drop_rate
         self.norm1 = LayerNorm(stage.dim, dtype)
         if spec.attention_mode == "pvt-like":
@@ -246,7 +247,9 @@ class Block(Module):
     def _attend(self, x: Tensor) -> Tensor:
         if isinstance(self.attn, PooledFullAttention):
             return self.attn(x)
-        layout = build_layout(self.mode, x.shape[1], x.shape[2], self.group_size)
+        layout = self.layout
+        if x.shape[1:3] != layout.grid:
+            layout = build_layout(self.mode, x.shape[1], x.shape[2], self.group_size)
         return ungroup(self.attn(group(x, layout), layout), layout)
 
     def __call__(self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:

@@ -151,7 +151,13 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode pass seeded from this (scalar) tensor."""
+        """Reverse-mode pass seeded from this (scalar) tensor.
+
+        Only tensors with ``requires_grad`` keep their gradient. Any other
+        node's gradient is complete when the reverse walk reaches it and is
+        dropped as soon as its rule has run, so the pass reuses that memory
+        instead of returning it to the OS and faulting it in again next step.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -173,10 +179,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-        # intermediate grads are kept only on leaves that asked for them
-        for node in topo:
-            if not node.requires_grad and node._backward is not None:
-                node.grad = None
+                if not node.requires_grad:
+                    node.grad = None
 
     # -- operator sugar --------------------------------------------------------
 
@@ -237,6 +241,8 @@ def _needs_grad(t: Tensor) -> bool:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if _needs_grad(t):
         if t.grad is None:
+            # own copy: `g` may be a view of the consumer's gradient, or the
+            # same array `add` hands both operands; `+=` must not write there
             t.grad = np.array(g, dtype=t.data.dtype, copy=True)
         else:
             t.grad += g

@@ -146,6 +146,14 @@ class TestGroupUngroup:
         with pytest.raises(T.ShapeError):
             ungroup(Tensor(np.zeros((1, 3, 4, 3))), lay)
 
+    def test_group_rejects_unbatched_input(self):
+        with pytest.raises(T.ShapeError, match=r"\(N, H, W, D\)"):
+            group(Tensor(np.zeros((4, 4, 3))), build_layout("sda", 4, 4, 2))
+
+    def test_ungroup_rejects_unbatched_input(self):
+        with pytest.raises(T.ShapeError, match=r"\(N, n_groups, n_slots, D\)"):
+            ungroup(Tensor(np.zeros((4, 4, 3))), build_layout("sda", 4, 4, 2))
+
 
 def make_attention(dim=8, heads=2, bias=True, dtype=np.float64, seed=5):
     r = np.random.default_rng(seed)

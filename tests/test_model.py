@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import xfmr.model
 import xfmr.tensor as T
 from xfmr import (
     BiasRangeError,
@@ -173,6 +174,17 @@ class TestForward:
             x = Tensor(np.zeros((1, side, side, 3), dtype=np.float32))
             with no_grad():
                 assert model(x).shape == (1, 4)
+
+    def test_forward_at_build_size_reuses_planned_layouts(self, monkeypatch):
+        model = build_model(toy_spec(classes=4), seed=0)
+        calls = []
+        real = xfmr.model.build_layout
+        monkeypatch.setattr(xfmr.model, "build_layout", lambda *args: calls.append(args) or real(*args))
+        with no_grad():
+            model(Tensor(np.zeros((1, 64, 64, 3), dtype=np.float32)))
+            assert calls == []
+            model(Tensor(np.zeros((1, 96, 96, 3), dtype=np.float32)))
+        assert len(calls) == sum(len(blocks) for blocks in model.stages)
 
     def test_ape_model_fixed_to_build_size(self):
         model = build_model(toy_spec(classes=4, bias_kind="ape"), seed=0)

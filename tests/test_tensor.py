@@ -452,6 +452,40 @@ class TestAutodiffPlumbing:
         y.backward()
         assert x.grad[0] == 8.0
 
+    def test_consumer_grad_released_before_producer_rule_runs(self):
+        x = randt(3, 4, grad=True)
+        h = x * 2.0
+        u = h * 3.0
+        loss = u.sum()
+        seen = []
+        rule = h._backward
+
+        def spy(g):
+            seen.append(u.grad is None)
+            rule(g)
+
+        h._backward = spy
+        loss.backward()
+        assert seen == [True]
+        assert h.grad is None and u.grad is None and loss.grad is None
+        assert (x.grad == 6.0).all()
+
+    def test_operands_of_add_get_separate_writable_grads(self):
+        a, b = randt(3, 4, grad=True), randt(3, 4, grad=True)
+        ((a + b).sum() + (a * 3.0).sum()).backward()
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        assert (a.grad == 4.0).all() and (b.grad == 1.0).all()
+
+    def test_interior_node_with_two_consumers_sums_both(self):
+        x = randt(2, 6, grad=True)
+        w = randt(6, 5)
+        h = x * 2.0
+        loss = (h.reshape(3, 4) * 5.0).sum() + T.matmul(h, w).sum()
+        loss.backward()
+        expected = 2.0 * (5.0 + w.data.sum(axis=1))
+        assert np.allclose(x.grad, expected, rtol=1e-12, atol=0)
+
     def test_mac_counter_matmul(self):
         a, b = randt(3, 4), randt(4, 5)
         with T.count_macs() as c:

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from xfmr import AdamW, RunConfig, Tensor
+from xfmr import AdamW, RunConfig, Tensor, build_model, toy_spec
+from xfmr.data import synth_dataset
+from xfmr.tensor import cross_entropy
 from xfmr.train import DivergenceError, cosine_lr, train_toy
 
 
@@ -91,3 +94,24 @@ class TestTrainToy:
     def test_minibatch_path(self):
         _, result = train_toy(short_cfg(batch=4, steps=6), stop_when_perfect=False)
         assert result.steps_run == 6
+
+
+class TestGradientLifetime:
+    def test_backward_peak_stays_below_forward_graph(self):
+        """Interior gradients are released as the pass reaches them, so the
+        traced peak backward adds on top of the forward graph (f32 toy,
+        batch 8) stays well below the graph's own footprint."""
+        model = build_model(toy_spec(classes=4), seed=0)
+        images, labels = synth_dataset(0, 8, 64, 4)
+        x = Tensor(images.astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = cross_entropy(model(x, train=True), labels)
+            graph = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            loss.backward()
+            extra = tracemalloc.get_traced_memory()[1] - base - graph
+        finally:
+            tracemalloc.stop()
+        assert extra <= 0.6 * graph, f"backward peak {extra} B over a {graph} B forward graph"
