@@ -73,8 +73,6 @@ def pair_offset_index(slots_h: int, slots_w: int, table_h: int, table_w: int) ->
 class DynamicPositionBias(Module):
     """MLP mapping a relative offset (dx, dy) to one bias value per head."""
 
-    kind = "dpb"
-
     def __init__(self, rng, dim: int, heads: int, residual: bool = False, dtype=np.float32):
         hidden = dpb_hidden_width(dim)
         self.heads = heads
@@ -123,8 +121,6 @@ class DynamicPositionBias(Module):
 class RelativePositionBias(Module):
     """Learned bias table over a fixed offset range; errors beyond it."""
 
-    kind = "rpb"
-
     def __init__(self, rng, heads: int, max_slots_h: int, max_slots_w: int, dtype=np.float32,
                  table: np.ndarray | None = None):
         self.heads = heads
@@ -144,8 +140,6 @@ class RelativePositionBias(Module):
 
 class AbsolutePositionEmbedding(Module):
     """Learnable per-position embedding added to the first stage's grid."""
-
-    kind = "ape"
 
     def __init__(self, rng, grid: tuple[int, int], dim: int, dtype=np.float32):
         self.grid = grid

@@ -1,8 +1,18 @@
 """Line-oriented run configuration files.
 
 Format: `key = value` pairs, `#` comments, optional `[stage.N]` sections
-(N in 1..4) overriding the named variant's per-stage structure. Emitting and
-re-parsing a config yields an equal config.
+(N in 1..4). Emitting and re-parsing a config yields an equal config.
+
+Which fields apply depends on where the stages come from:
+- a named variant (tiny, small, base, large or t, s, b, l) reads `task`
+  (grouping and default input size) and `cel` (embedding-layer kernels);
+- `variant = toy` has fixed stages and reads neither `task` nor `cel`;
+- `[stage.N]` sections each parse to a `StageSpec` (keys kernels, stride,
+  dim, heads, group, interval, blocks) and give all four stages; they need
+  `input_size`, and `variant`, `task` and `cel` do not apply.
+A field that does not apply must keep its default, else `to_model_spec`
+raises `ConfigError`. `bias`, `attention`, `input_size`, `classes` and
+`drop_path` apply everywhere; unset, the last three take the base spec's.
 """
 
 from __future__ import annotations
@@ -15,16 +25,7 @@ from .model import ModelSpec, StageSpec, build_variant, toy_spec
 
 __all__ = ["RunConfig", "TOY_TRAINING", "parse_config", "emit_config", "load_config", "to_model_spec"]
 
-
-@dataclass(frozen=True)
-class StageOverride:
-    kernels: tuple[int, ...]
-    stride: int
-    dim: int
-    heads: int
-    group: int
-    interval: int
-    blocks: int
+_STAGE_KEYS = ("kernels", "stride", "dim", "heads", "group", "interval", "blocks")
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,10 @@ class RunConfig:
     weight_decay: float = 0.05
     warmup: int = 0
     drop_path: float | None = None
-    stages: tuple[StageOverride, ...] = field(default=())
+    stages: tuple[StageSpec, ...] = field(default=())
 
+
+_DEFAULTS = RunConfig()
 
 # the toy training recipe: overfits `synth_dataset` within 500 steps
 TOY_TRAINING = {"classes": 4, "lr": 1e-2, "weight_decay": 0.01, "warmup": 20, "drop_path": 0.0}
@@ -108,14 +111,16 @@ def parse_config(text: str) -> RunConfig:
     if stage_values:
         if sorted(stage_values) != [1, 2, 3, 4]:
             raise ConfigError("stage sections must cover stages 1..4")
-        overrides = []
+        stages = []
         for n in (1, 2, 3, 4):
             sv = stage_values[n]
-            missing = {"kernels", "stride", "dim", "heads", "group", "interval", "blocks"} - set(sv)
+            missing = set(_STAGE_KEYS) - set(sv)
             if missing:
                 raise ConfigError(f"[stage.{n}] missing keys: {sorted(missing)}")
-            overrides.append(StageOverride(**sv))
-        values["stages"] = tuple(overrides)
+            stages.append(StageSpec(cel=CelSpec(sv["kernels"], sv["stride"], sv["dim"]), dim=sv["dim"],
+                                    heads=sv["heads"], group_size=sv["group"], interval=sv["interval"],
+                                    blocks=sv["blocks"]))
+        values["stages"] = tuple(stages)
     try:
         return RunConfig(**values)
     except TypeError as exc:
@@ -141,7 +146,7 @@ def _parse_top(key: str, value: str, values: dict, lineno: int) -> None:
 def _parse_stage(key: str, value: str, sv: dict, lineno: int) -> None:
     if key == "kernels":
         sv["kernels"] = tuple(int(p) for p in value.replace(",", " ").split())
-    elif key in ("stride", "dim", "heads", "group", "interval", "blocks"):
+    elif key in _STAGE_KEYS:
         sv[key] = int(value)
     else:
         raise ConfigError(f"line {lineno}: unknown stage key {key!r}")
@@ -170,11 +175,11 @@ def emit_config(cfg: RunConfig) -> str:
         f"warmup = {cfg.warmup}",
         f"drop_path = {'auto' if cfg.drop_path is None else repr(cfg.drop_path)}",
     ]
-    for n, sv in enumerate(cfg.stages, 1):
+    for n, stage in enumerate(cfg.stages, 1):
         lines.append(f"[stage.{n}]")
-        lines.append("kernels = " + ", ".join(str(k) for k in sv.kernels))
-        for key in ("stride", "dim", "heads", "group", "interval", "blocks"):
-            lines.append(f"{key} = {getattr(sv, key)}")
+        lines.append("kernels = " + ", ".join(str(k) for k in stage.cel.kernel_sizes))
+        values = (stage.cel.stride, stage.dim, stage.heads, stage.group_size, stage.interval, stage.blocks)
+        lines += [f"{key} = {value}" for key, value in zip(_STAGE_KEYS[1:], values)]
     return "\n".join(lines) + "\n"
 
 
@@ -183,48 +188,31 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def to_model_spec(cfg: RunConfig) -> ModelSpec:
-    """Materialize the model spec a config describes."""
+    """The model spec a config describes: one base spec (the config's stages,
+    the toy or a named variant) with the config's choices on top."""
     if cfg.stages:
-        stages = tuple(
-            StageSpec(
-                cel=CelSpec(sv.kernels, sv.stride, sv.dim),
-                dim=sv.dim,
-                heads=sv.heads,
-                group_size=sv.group,
-                interval=sv.interval,
-                blocks=sv.blocks,
-            )
-            for sv in cfg.stages
-        )
         if cfg.input_size is None:
             raise ConfigError("explicit stages require input_size")
-        return ModelSpec(
-            stages=stages,
-            classes=cfg.classes or 1000,
-            bias_kind=cfg.bias,
-            attention_mode=cfg.attention,
-            input_size=cfg.input_size,
-            drop_path_max=cfg.drop_path or 0.0,
-        )
-    if cfg.variant == "toy":
-        spec = toy_spec(
-            classes=cfg.classes or 10,
-            bias_kind=cfg.bias,
-            attention_mode=cfg.attention,
-            drop_path_max=cfg.drop_path or 0.0,
-        )
-        if cfg.input_size is not None:
-            spec = replace(spec, input_size=cfg.input_size)
-        return spec
-    spec = build_variant(
-        cfg.variant,
-        task=cfg.task,
-        classes=cfg.classes or 1000,
+        _refuse_unused(cfg, ("variant", "task", "cel"), "[stage.N] sections give the stages")
+        base = ModelSpec(stages=cfg.stages)
+    elif cfg.variant == "toy":
+        _refuse_unused(cfg, ("task", "cel"), "the toy variant's stages are fixed")
+        base = toy_spec()
+    else:
+        base = build_variant(cfg.variant, task=cfg.task, cel_mode=cfg.cel)
+    return replace(
+        base,
+        classes=cfg.classes or base.classes,
         bias_kind=cfg.bias,
         attention_mode=cfg.attention,
-        cel_mode=cfg.cel,
-        input_size=cfg.input_size,
+        input_size=cfg.input_size or base.input_size,
+        drop_path_max=base.drop_path_max if cfg.drop_path is None else cfg.drop_path,
     )
-    if cfg.drop_path is not None:
-        spec = replace(spec, drop_path_max=cfg.drop_path)
-    return spec
+
+
+def _refuse_unused(cfg: RunConfig, names: tuple[str, ...], why: str) -> None:
+    """Refuse a non-default value in a field the config's stages do not read."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value != getattr(_DEFAULTS, name):
+            raise ConfigError(f"{name} = {value} does not apply: {why}; drop it")

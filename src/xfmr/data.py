@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .embed import ConfigError
+
 __all__ = ["synth_dataset", "linear_probe_accuracy"]
 
 _SHAPES = ("square", "ring", "disk", "wedge")
@@ -42,7 +44,7 @@ def synth_dataset(seed: int, n: int, size: int, classes: int):
     """Deterministic (images, labels): images (n, size, size, 3) float32 in
     [0, 1], labels balanced to within one sample per class."""
     if not 2 <= classes <= MAX_CLASSES:
-        raise ValueError(f"classes must be in 2..{MAX_CLASSES}")
+        raise ConfigError(f"the synthetic dataset has 2..{MAX_CLASSES} classes, {classes} requested")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes
     rng.shuffle(labels)

@@ -176,7 +176,7 @@ def build_variant(
     cel_mode: str = "cross",
     input_size: tuple[int, int] | None = None,
 ) -> ModelSpec:
-    key = _ALIASES.get(name.lower(), name.lower())
+    key = canonical_variant(name)
     if key not in _VARIANTS:
         raise ConfigError(f"unknown variant {name!r} (expected one of {VARIANT_NAMES})")
     if task not in _TASK_GROUPING:

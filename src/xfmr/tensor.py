@@ -75,9 +75,6 @@ class MacCounter:
     def add(self, n: int) -> None:
         self.macs += n
 
-    def reset(self) -> None:
-        self.macs = 0
-
 
 _ACTIVE_COUNTERS: list[MacCounter] = []
 
@@ -138,15 +135,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- autodiff ------------------------------------------------------------
 

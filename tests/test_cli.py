@@ -12,6 +12,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def stage_sections(first_kernels: str) -> str:
+    """`[stage.1..4]` text with the toy's dims and heads at 64x64; stage 1
+    embeds with ``first_kernels`` at stride 4."""
+    return "".join(
+        f"[stage.{n}]\nkernels = {first_kernels if n == 1 else '2, 4'}\nstride = {4 if n == 1 else 2}\n"
+        f"dim = {8 * 2 ** n}\nheads = {2 ** (n - 1)}\ngroup = 2\ninterval = 2\nblocks = 1\n"
+        for n in (1, 2, 3, 4))
+
+
 class TestVariants:
     def test_lists_all_eight_plus_toy(self, capsys):
         code, out, _ = run(capsys, "variants")
@@ -240,20 +249,52 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["count", "forward"])
     def test_kernel_smaller_than_stride_is_2(self, capsys, tmp_path, command):
-        from xfmr.config import RunConfig, StageOverride, emit_config
-
-        stages = tuple(
-            StageOverride(kernels=(2, 4), stride=4 if i == 0 else 2, dim=16 * 2 ** i,
-                          heads=2 ** i, group=2, interval=2, blocks=1)
-            for i in range(4)
-        )
         cfg = tmp_path / "small_kernel.cfg"
-        cfg.write_text(emit_config(RunConfig(stages=stages, input_size=(64, 64), classes=4)))
+        cfg.write_text("input_size = 64 64\nclasses = 4\n" + stage_sections("2, 4"))
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
             "error: kernel 2 smaller than stride 4: padding (k-s)/2 would be negative"]
+
+    @pytest.mark.parametrize("argv, line", [
+        (("count", "--variant", "toy", "--cel", "single"),
+         "error: cel = single does not apply: the toy variant's stages are fixed; drop it"),
+        (("count", "--variant", "toy", "--task", "dense"),
+         "error: task = dense does not apply: the toy variant's stages are fixed; drop it"),
+        (("train-toy", "--cel", "two", "--steps", "1"),
+         "error: cel = two does not apply: the toy variant's stages are fixed; drop it"),
+    ], ids=["count-cel", "count-task", "train-toy-cel"])
+    def test_field_the_toy_ignores_is_2(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [line]
+
+    @pytest.mark.parametrize("variant, code, line", [
+        ("toy", 0, None),
+        ("small", 2, "error: variant = small does not apply: [stage.N] sections give the stages; drop it"),
+    ], ids=["toy", "small"])
+    def test_variant_beside_stage_sections(self, capsys, tmp_path, variant, code, line):
+        cfg = tmp_path / "stages.cfg"
+        cfg.write_text(f"variant = {variant}\ninput_size = 64 64\nclasses = 4\n" + stage_sections("4, 8"))
+        got, out, err = run(capsys, "count", "--config", str(cfg))
+        assert got == code
+        if line is None:
+            assert "reference budgets" not in out
+        else:
+            assert out == ""
+            assert err.splitlines() == [line]
+
+    def test_emitted_toy_config_with_too_many_classes_is_2(self, capsys, tmp_path):
+        code, text, _ = run(capsys, "emit-config", "--variant", "toy")
+        assert code == 0 and "classes" not in text
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "train-toy", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: the synthetic dataset has 2..8 classes, 10 requested"]
 
     @pytest.mark.parametrize("argv", [
         ("forward", "--variant", "toy", "--batch", "0"),

@@ -1,7 +1,6 @@
 import pytest
 
-from xfmr import ConfigError, RunConfig, emit_config, parse_config, to_model_spec
-from xfmr.config import StageOverride
+from xfmr import CelSpec, ConfigError, RunConfig, StageSpec, emit_config, parse_config, to_model_spec
 
 
 def test_emit_parse_roundtrip_default():
@@ -33,8 +32,8 @@ def test_emit_parse_roundtrip_custom():
 
 def test_roundtrip_with_stage_sections():
     stages = tuple(
-        StageOverride(kernels=(4, 8) if i == 0 else (2, 4), stride=4 if i == 0 else 2,
-                      dim=16 * 2 ** i, heads=2 ** i, group=2, interval=2, blocks=1)
+        StageSpec(cel=CelSpec((4, 8) if i == 0 else (2, 4), 4 if i == 0 else 2, 16 * 2 ** i),
+                  dim=16 * 2 ** i, heads=2 ** i, group_size=2, interval=2, blocks=1)
         for i in range(4)
     )
     cfg = RunConfig(stages=stages, input_size=(64, 64), classes=4)
@@ -74,6 +73,26 @@ def test_missing_stage_key_rejected():
     )
     with pytest.raises(ConfigError, match="missing keys"):
         parse_config(text)
+
+
+def test_invalid_stage_section_rejected_at_parse():
+    text = "input_size = 64 64\n" + "".join(
+        f"[stage.{n}]\nkernels = 2\nstride = {4 if n == 1 else 2}\ndim = {8 * 2 ** n}\n"
+        f"heads = 1\ngroup = 2\ninterval = 1\nblocks = 1\n"
+        for n in (1, 2, 3, 4))
+    with pytest.raises(ConfigError, match="kernel 2 smaller than stride 4"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("fields, what", [
+    ({"variant": "small"}, "variant = small"),
+    ({"task": "dense"}, "task = dense"),
+    ({"cel": "two"}, "cel = two"),
+], ids=["variant", "task", "cel"])
+def test_stage_sections_refuse_fields_they_replace(fields, what):
+    stages = to_model_spec(RunConfig(variant="toy")).stages
+    with pytest.raises(ConfigError, match=f"{what} does not apply"):
+        to_model_spec(RunConfig(stages=stages, input_size=(64, 64), **fields))
 
 
 def test_to_model_spec_variant_overrides():
