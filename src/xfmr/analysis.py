@@ -91,7 +91,7 @@ def _dpb_eval_macs(dim: int, heads: int) -> int:
 def count_params(spec: ModelSpec) -> CostReport:
     report = CostReport("params")
     in_ch = 3
-    for s, (stage, planned) in enumerate(zip(spec.stages, spec.block_plan())):
+    for s, (stage, layouts) in enumerate(zip(spec.stages, spec.block_plan())):
         key = f"stage{s + 1}"
         for k, d in zip(stage.cel.kernel_sizes, stage.cel.per_kernel_dims):
             report.add(f"{key}.cel", k * k * in_ch * d + d)
@@ -104,7 +104,7 @@ def count_params(spec: ModelSpec) -> CostReport:
             if spec.bias_kind in ("dpb", "dpb-res"):
                 report.add(f"{key}.bias", stage.blocks * _dpb_params(stage.dim, stage.heads))
             elif spec.bias_kind == "rpb":
-                for _, _, layout in planned:
+                for layout in layouts:
                     sh, sw = layout.slots
                     report.add(f"{key}.bias", (2 * sh - 1) * (2 * sw - 1) * stage.heads)
         in_ch = stage.dim
@@ -127,7 +127,7 @@ def count_flops(spec: ModelSpec, input_size: tuple[int, int] | None = None) -> C
     report = CostReport("macs")
     in_ch = 3
     stages = zip(spec.stages, spec.stage_grids(input_size), spec.block_plan(input_size))
-    for s, (stage, (h, w), planned) in enumerate(stages):
+    for s, (stage, (h, w), layouts) in enumerate(stages):
         key = f"stage{s + 1}"
         for k, d in zip(stage.cel.kernel_sizes, stage.cel.per_kernel_dims):
             report.add(f"{key}.cel", h * w * d * k * k * in_ch)
@@ -140,7 +140,7 @@ def count_flops(spec: ModelSpec, input_size: tuple[int, int] | None = None) -> C
                            2 * tokens * stage.dim ** 2 + 2 * kv_tokens * stage.dim ** 2)
                 report.add(f"{key}.attention", attention_map_macs(tokens, kv_tokens, stage.dim))
         else:
-            for _, _, layout in planned:
+            for layout in layouts:
                 padded = layout.padded_grid[0] * layout.padded_grid[1]
                 report.add(f"{key}.attention", 4 * padded * stage.dim ** 2)
                 report.add(f"{key}.attention",

@@ -5,6 +5,8 @@ grid into adjacent blocks, long-distance groups collect positions sampled at
 a fixed interval per axis. Grouping is a pure reshape/permute rearrangement
 on divisible grids; other sizes are zero-padded up to the next multiple and
 the padded slots are masked out of the softmax with a -inf sentinel.
+The pooled-key/value ablation reuses the same multi-head core on one group
+holding every token, with keys and values taken from the pooled grid.
 """
 
 from __future__ import annotations
@@ -183,69 +185,56 @@ class GroupedAttention(Module):
         self.out_proj = Linear(rng, dim, dim, dtype)
         self.bias = bias_provider
 
-    def qkv(self, g: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Head-major q, k and v, each (N, groups, heads, slots, dim/heads),
-        of grouped tokens (N, groups, slots, dim)."""
-        n, ng, ns, dim = g.shape
+    def qkv(self, g: Tensor, kv: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor]:
+        """Head-major q of grouped tokens g (N, groups, *slots, dim) and k, v of
+        ``kv`` (default g), each (N, groups, heads, tokens, dim/heads)."""
+        kv = g if kv is None else kv
 
         def heads_first(t: Tensor) -> Tensor:
-            return t.reshape(n, ng, ns, self.heads, dim // self.heads).permute(0, 1, 3, 2, 4)
+            n, ng, *slots, dim = t.shape
+            return t.reshape(n, ng, math.prod(slots), self.heads, dim // self.heads).permute(0, 1, 3, 2, 4)
 
-        return heads_first(self.q_proj(g)), heads_first(self.k_proj(g)), heads_first(self.v_proj(g))
+        return heads_first(self.q_proj(g)), heads_first(self.k_proj(kv)), heads_first(self.v_proj(kv))
+
+    def attend(self, g: Tensor, kv: Tensor, bias: Tensor | None = None,
+               key_logits: np.ndarray | None = None) -> Tensor:
+        """Queries of ``g`` attend to the keys and values of ``kv`` group by
+        group; heads are merged and out-projected to the shape of ``g``."""
+        mixed = attend_tokens(*self.qkv(g, kv), bias, key_logits)
+        return self.out_proj(mixed.permute(0, 1, 3, 2, 4).reshape(g.shape))
 
     def __call__(self, g: Tensor, layout: GroupLayout) -> Tensor:
-        n, ng, ns, dim = g.shape
-        q, k, v = self.qkv(g)
         bias = None
         if self.bias is not None:
             bias = self.bias.bias_matrix(layout).permute(2, 0, 1)  # (heads, S, S)
-        mixed = attend_tokens(q, k, v, bias, key_padding_logits(layout, g.dtype))
-        mixed = mixed.permute(0, 1, 3, 2, 4).reshape(n, ng, ns, dim)
-        return self.out_proj(mixed)
+        return self.attend(g, g, bias, key_padding_logits(layout, g.dtype))
 
 
-class PooledFullAttention(Module):
+class PooledFullAttention(GroupedAttention):
     """Full-grid attention with keys/values average-pooled by a fixed factor.
 
     Ablation stand-in for architectures that merge adjacent key/value
-    embeddings; queries stay at full resolution, no position bias is used.
+    embeddings: one group holds every token, queries stay at full
+    resolution, keys and values come from the pooled grid, and no position
+    bias is used.
     """
 
     def __init__(self, rng, dim: int, heads: int, reduction: int, dtype=np.float32):
-        if dim % heads:
-            raise ValueError(f"dim {dim} not divisible by heads {heads}")
-        self.dim = dim
-        self.heads = heads
+        super().__init__(rng, dim, heads, None, dtype)
         self.reduction = reduction
-        self.q_proj = Linear(rng, dim, dim, dtype)
-        self.k_proj = Linear(rng, dim, dim, dtype)
-        self.v_proj = Linear(rng, dim, dim, dtype)
-        self.out_proj = Linear(rng, dim, dim, dtype)
 
     def _pool(self, x: Tensor) -> Tensor:
+        """Keys/values source: the grid (N, H, W, dim) zero-padded to a
+        multiple of the reduction and average-pooled, as one group."""
         r = self.reduction
-        if r == 1:
-            return x
         n, h, w, d = x.shape
         hp = math.ceil(h / r) * r
         wp = math.ceil(w / r) * r
         x = T.pad_hw(x, hp - h, wp - w)
-        return x.reshape(n, hp // r, r, wp // r, r, d).mean(axis=(2, 4))
+        return x.reshape(n, hp // r, r, wp // r, r, d).mean(axis=(2, 4)).reshape(n, 1, hp // r, wp // r, d)
 
     def __call__(self, x: Tensor) -> Tensor:
-        n, hh, ww, dim = x.shape
-        h = self.heads
-        d = dim // h
-        kv = self._pool(x)
-        nk = kv.shape[1] * kv.shape[2]
-        nq = hh * ww
-
-        def heads_first(t: Tensor, count: int) -> Tensor:
-            return t.reshape(n, count, h, d).permute(0, 2, 1, 3)
-
-        q = heads_first(self.q_proj(x).reshape(n, nq, dim), nq)
-        k = heads_first(self.k_proj(kv).reshape(n, nk, dim), nk)
-        v = heads_first(self.v_proj(kv).reshape(n, nk, dim), nk)
-        mixed = attend_tokens(q, k, v)
-        mixed = mixed.permute(0, 2, 1, 3).reshape(n, hh, ww, dim)
-        return self.out_proj(mixed)
+        """Attention output (N, H, W, dim) of a batch (N, H, W, dim)."""
+        n, h, w, dim = x.shape
+        g = x.reshape(n, 1, h, w, dim)  # one group holding every token, on its grid
+        return self.attend(g, g if self.reduction == 1 else self._pool(x)).reshape(n, h, w, dim)

@@ -70,6 +70,14 @@ def pair_offset_index(slots_h: int, slots_w: int, table_h: int, table_w: int) ->
     return (dx + table_h // 2) * table_w + (dy + table_w // 2)
 
 
+def _slot_pair_bias(table: Tensor, layout: GroupLayout) -> Tensor:
+    """Bias (S, S, heads) of every ordered slot pair of ``layout``, looked up
+    in an offset table (table_h, table_w, heads) centred on offset (0, 0)."""
+    th, tw, heads = table.shape
+    idx = pair_offset_index(*layout.slots, th, tw)
+    return T.index_rows(table.reshape(th * tw, heads), idx)
+
+
 class DynamicPositionBias(Module):
     """MLP mapping a relative offset (dx, dy) to one bias value per head."""
 
@@ -112,10 +120,7 @@ class DynamicPositionBias(Module):
         return rows.reshape(2 * slots_h - 1, 2 * slots_w - 1, self.heads)
 
     def bias_matrix(self, layout: GroupLayout) -> Tensor:
-        sh, sw = layout.slots
-        table = self.table(sh, sw)
-        idx = pair_offset_index(sh, sw, 2 * sh - 1, 2 * sw - 1)
-        return T.index_rows(table.reshape((2 * sh - 1) * (2 * sw - 1), self.heads), idx)
+        return _slot_pair_bias(self.table(*layout.slots), layout)
 
 
 class RelativePositionBias(Module):
@@ -132,10 +137,7 @@ class RelativePositionBias(Module):
         self.table = Tensor(np.array(table), requires_grad=True)
 
     def bias_matrix(self, layout: GroupLayout) -> Tensor:
-        sh, sw = layout.slots
-        th, tw, _ = self.table.shape
-        idx = pair_offset_index(sh, sw, th, tw)
-        return T.index_rows(self.table.reshape(th * tw, self.heads), idx)
+        return _slot_pair_bias(self.table, layout)
 
 
 class AbsolutePositionEmbedding(Module):

@@ -103,8 +103,9 @@ def cmd_count(args) -> int:
     spec = to_model_spec(cfg)
     params = count_params(spec)
     macs = count_flops(spec)
-    print(f"configuration: variant={cfg.variant} bias={cfg.bias} attn={cfg.attention} "
-          f"cel={cfg.cel} input={spec.input_size[0]}x{spec.input_size[1]}")
+    model = "stages from the config" if cfg.stages else f"variant={cfg.variant} cel={cfg.cel}"
+    print(f"configuration: {model} bias={cfg.bias} attn={cfg.attention} "
+          f"input={spec.input_size[0]}x{spec.input_size[1]}")
     print("\nparameters")
     print(params.table_text())
     print("\nmultiply-accumulates (single image)")
@@ -142,15 +143,12 @@ def cmd_forward(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _config_from_args(args)
-    cfg = replace(cfg, dtype="f64")
     spec = to_model_spec(cfg)
     n_params = count_params(spec).total
     if n_params > GRADCHECK_PARAM_LIMIT:
         print(f"refusing gradcheck on {n_params / 1e6:.1f}M parameters "
               f"(limit {GRADCHECK_PARAM_LIMIT / 1e6:.1f}M); use a toy-scale config", file=sys.stderr)
         return USAGE_ERROR
-    if args.corrupt_backward:
-        T.CORRUPT_BACKWARD = True
     model = build_model(spec, seed=cfg.seed, dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
     # check at a generic parameter point: with zero-initialized biases the
@@ -164,13 +162,18 @@ def cmd_gradcheck(args) -> int:
     def loss() -> T.Tensor:
         return cross_entropy(model(images, train=False, rng=train_rng), labels)
 
-    report = grad_check(
-        loss,
-        list(model.named_parameters()),
-        tol=args.tol,
-        max_entries_per_tensor=args.entries_per_tensor,
-        rng=np.random.default_rng(cfg.seed),
-    )
+    corrupt = T.CORRUPT_BACKWARD
+    T.CORRUPT_BACKWARD = corrupt or args.corrupt_backward
+    try:
+        report = grad_check(
+            loss,
+            list(model.named_parameters()),
+            tol=args.tol,
+            max_entries_per_tensor=args.entries_per_tensor,
+            rng=np.random.default_rng(cfg.seed),
+        )
+    finally:
+        T.CORRUPT_BACKWARD = corrupt
     print(report.summary())
     worst_groups = sorted(report.per_tensor.items(), key=lambda kv: kv[1], reverse=True)[:5]
     print("worst parameter groups:")
@@ -247,9 +250,9 @@ def cmd_bake_dpb(args) -> int:
     with T.no_grad():
         live = model(x).data.copy()
 
-    for blocks, planned in zip(model.stages, spec.block_plan()):
-        for block, p in zip(blocks, planned):
-            block.attn.bias = bake_to_table(block.attn.bias, *p.layout.slots)
+    for blocks, layouts in zip(model.stages, spec.block_plan()):
+        for block, layout in zip(blocks, layouts):
+            block.attn.bias = bake_to_table(block.attn.bias, *layout.slots)
     with T.no_grad():
         frozen = model(x).data.copy()
     diff = float(np.abs(live - frozen).max())

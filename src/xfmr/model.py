@@ -9,7 +9,6 @@ reference configuration tables structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .tensor import Tensor
 __all__ = [
     "StageSpec",
     "ModelSpec",
-    "PlannedBlock",
     "VARIANT_NAMES",
     "build_variant",
     "toy_spec",
@@ -61,15 +59,6 @@ class StageSpec:
             raise ConfigError("blocks, group size and interval must be positive")
 
 
-class PlannedBlock(NamedTuple):
-    """One block's grouping: mode, group extent (G for SDA, interval I for
-    LDA) and the layout that extent gives on its stage's grid."""
-
-    mode: str
-    size: int
-    layout: GroupLayout
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     stages: tuple[StageSpec, StageSpec, StageSpec, StageSpec]
@@ -100,9 +89,9 @@ class ModelSpec:
             grids.append((h, w))
         return grids
 
-    def block_plan(self, input_size: tuple[int, int] | None = None) -> list[list[PlannedBlock]]:
-        """Per stage, one :class:`PlannedBlock` per block, laid out on that
-        stage's grid for ``input_size`` (default: the build input size).
+    def block_plan(self, input_size: tuple[int, int] | None = None) -> list[list[GroupLayout]]:
+        """Per stage, one :class:`GroupLayout` per block, on that stage's grid
+        for ``input_size`` (default: the build input size).
 
         Blocks alternate short-distance (even) and long-distance (odd)
         grouping; "sda-only" makes every block short-distance.
@@ -113,7 +102,7 @@ class ModelSpec:
             for b in range(stage.blocks):
                 mode = SDA if self.attention_mode == "sda-only" or b % 2 == 0 else LDA
                 size = stage.group_size if mode == SDA else stage.interval
-                blocks.append(PlannedBlock(mode, size, build_layout(mode, h, w, size)))
+                blocks.append(build_layout(mode, h, w, size))
             plan.append(blocks)
         return plan
 
@@ -215,7 +204,7 @@ def toy_spec(
 # -- runtime modules -------------------------------------------------------------
 
 
-def _make_bias_provider(rng, spec: ModelSpec, stage: StageSpec, planned: PlannedBlock, dtype):
+def _make_bias_provider(rng, spec: ModelSpec, stage: StageSpec, layout: GroupLayout, dtype):
     if spec.bias_kind == "ape":
         return None
     if spec.bias_kind in ("dpb", "dpb-res"):
@@ -223,23 +212,23 @@ def _make_bias_provider(rng, spec: ModelSpec, stage: StageSpec, planned: Planned
             rng, stage.dim, stage.heads, residual=spec.bias_kind == "dpb-res", dtype=dtype
         )
     # fixed table sized for this block's slot extent at the build input size
-    return RelativePositionBias(rng, stage.heads, *planned.layout.slots, dtype=dtype)
+    return RelativePositionBias(rng, stage.heads, *layout.slots, dtype=dtype)
 
 
 class Block(Module):
     """Pre-norm residual block: grouped attention then token MLP."""
 
-    def __init__(self, rng, spec: ModelSpec, stage: StageSpec, planned: PlannedBlock,
+    def __init__(self, rng, spec: ModelSpec, stage: StageSpec, layout: GroupLayout,
                  drop_rate: float, reduction: int, dtype):
-        self.mode = planned.mode
-        self.group_size = planned.size
-        self.layout = planned.layout
+        self.mode = layout.mode
+        self.group_size = layout.size
+        self.layout = layout
         self.drop_rate = drop_rate
         self.norm1 = LayerNorm(stage.dim, dtype)
         if spec.attention_mode == "pvt-like":
             self.attn = PooledFullAttention(rng, stage.dim, stage.heads, reduction, dtype)
         else:
-            provider = _make_bias_provider(rng, spec, stage, planned, dtype)
+            provider = _make_bias_provider(rng, spec, stage, layout, dtype)
             self.attn = GroupedAttention(rng, stage.dim, stage.heads, provider, dtype)
         self.norm2 = LayerNorm(stage.dim, dtype)
         self.mlp = Mlp(rng, stage.dim, MLP_RATIO * stage.dim, dtype)
@@ -277,10 +266,10 @@ class Classifier(Module):
         self.cels = []
         self.stages = []
         in_ch = 3
-        for s, (stage, planned) in enumerate(zip(spec.stages, spec.block_plan())):
+        for s, (stage, layouts) in enumerate(zip(spec.stages, spec.block_plan())):
             self.cels.append(CrossScaleEmbedding(rng, in_ch, stage.cel, dtype))
-            self.stages.append([Block(rng, spec, stage, p, float(next(rates)), PVT_REDUCTIONS[s], dtype)
-                                for p in planned])
+            self.stages.append([Block(rng, spec, stage, layout, float(next(rates)), PVT_REDUCTIONS[s], dtype)
+                                for layout in layouts])
             in_ch = stage.dim
         self.ape = None
         if spec.bias_kind == "ape":

@@ -17,7 +17,6 @@ from scipy.special import erf
 __all__ = [
     "Tensor",
     "no_grad",
-    "grad_enabled",
     "MacCounter",
     "count_macs",
     "matmul",
@@ -56,10 +55,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class MacCounter:
@@ -176,15 +171,6 @@ class Tensor:
         return add(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other, self.dtype), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other, self.dtype), mul(self, -1.0))
 
     def __mul__(self, other):
         return mul(self, other)

@@ -80,11 +80,11 @@ def train_toy(cfg: RunConfig, model: Classifier | None = None,
     """Overfit the synthetic dataset; deterministic given cfg.seed."""
     spec = to_model_spec(cfg)
     dtype = np.float64 if cfg.dtype == "f64" else np.float32
+    images, labels = synth_dataset(cfg.seed, cfg.samples, spec.input_size[0], spec.classes)
+    images = images.astype(dtype)
     if model is None:
         model = build_model(spec, seed=cfg.seed, dtype=dtype)
     rng = np.random.default_rng(cfg.seed + 1)
-    images, labels = synth_dataset(cfg.seed, cfg.samples, spec.input_size[0], spec.classes)
-    images = images.astype(dtype)
     params = [p for _, p in model.named_parameters()]
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     result = TrainResult()

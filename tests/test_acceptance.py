@@ -145,7 +145,7 @@ def test_06_bias_table_and_bake_equivalence():
         live = model(x).data.copy()
     for blocks, planned in zip(model.stages, spec.block_plan()):
         for block, p in zip(blocks, planned):
-            block.attn.bias = bake_to_table(block.attn.bias, *p.layout.slots)
+            block.attn.bias = bake_to_table(block.attn.bias, *p.slots)
     with no_grad():
         frozen = model(x).data.copy()
     diff = np.abs(live - frozen).max()

@@ -284,8 +284,11 @@ class TestPooledFullAttention:
         assert out.shape == (2, 6, 6, 8)
 
     def test_reduction_one_is_plain_full_attention(self):
+        # without pooling every token attends to every token: one group
+        # spanning the whole (non-square) grid, and no position bias
         attn = PooledFullAttention(np.random.default_rng(1), 8, 2, reduction=1, dtype=np.float64)
-        x = Tensor(rng.standard_normal((1, 3, 3, 8)))
+        x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 5, 8)))
         with no_grad():
-            out = attn(x)
-        assert np.isfinite(out.data).all()
+            out = attn(x).data
+        ref = masked_full_attention(x.data, attn, "sda", 5, None)
+        assert np.abs(out - ref).max() <= 1e-10

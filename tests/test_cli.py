@@ -71,6 +71,14 @@ class TestCount:
         assert code == 0
         assert "module,params" in out and "module,macs" in out
 
+    def test_stage_config_header_names_no_variant(self, capsys, tmp_path):
+        cfg = tmp_path / "stages.cfg"
+        cfg.write_text("input_size = 64 64\nclasses = 4\n" + stage_sections("4, 8"))
+        code, out, _ = run(capsys, "count", "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines()[0] == ("configuration: stages from the config bias=dpb attn=lsda "
+                                       "input=64x64")
+
 
 class TestForward:
     def test_toy_forward(self, capsys):
@@ -90,6 +98,7 @@ class TestGradcheck:
         try:
             code, out, _ = run(capsys, "gradcheck", "--variant", "toy",
                                "--entries-per-tensor", "1", "--corrupt-backward")
+            assert T.CORRUPT_BACKWARD is False  # later backward passes stay exact
         finally:
             T.CORRUPT_BACKWARD = False
         assert code == 1

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xfmr import AdamW, RunConfig, Tensor, build_model, toy_spec
+import xfmr.train
+from xfmr import AdamW, ConfigError, RunConfig, Tensor, build_model, toy_spec
 from xfmr.data import synth_dataset
 from xfmr.tensor import cross_entropy
 from xfmr.train import DivergenceError, cosine_lr, train_toy
@@ -94,6 +95,16 @@ class TestTrainToy:
     def test_minibatch_path(self):
         _, result = train_toy(short_cfg(batch=4, steps=6), stop_when_perfect=False)
         assert result.steps_run == 6
+
+    def test_class_count_refused_before_the_model_is_built(self, monkeypatch):
+        # tiny's 1000 classes exceed the synthetic dataset; building its
+        # model first would cost seconds and hundreds of MB for nothing
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built before the dataset check")
+
+        monkeypatch.setattr(xfmr.train, "build_model", no_model)
+        with pytest.raises(ConfigError, match="1000 requested"):
+            train_toy(RunConfig(variant="tiny"))
 
 
 class TestGradientLifetime:
