@@ -11,13 +11,24 @@ Layout (all integers little-endian):
     trailer        u32 CRC32 of every preceding byte
 
 `save_checkpoint` writes version 2 only when given a config, so weight-only
-files stay byte-identical to version 1. Any malformed file raises
-`CheckpointError`.
+files stay byte-identical to version 1. It checks every entry before it
+opens the file, so a refused save writes nothing, and then streams each
+header piece and payload straight to the file with a running CRC.
+
+`read_checkpoint` streams too: it reads the header fields with small reads
+and each payload straight into its own freshly allocated array, so no second
+copy of the weights exists. Before allocating a payload it checks that the
+file still holds that many bytes. The CRC is checked before anything is
+returned. Errors come in this order: a file shorter than 16 bytes, bad
+magic, a CRC mismatch, then the first malformed field, so a parse error
+that corruption caused is reported as a CRC mismatch. Any malformed file
+raises `CheckpointError`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -48,26 +59,33 @@ def save_checkpoint(path: str | Path, entries: dict[str, np.ndarray],
     names = list(entries)
     if len(set(names)) != len(names):
         raise CheckpointError("duplicate tensor names")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<II", 1 if config is None else FORMAT_VERSION, len(names))
-    if config is not None:
-        text = emit_config(config).encode("utf-8")
-        blob += struct.pack("<I", len(text)) + text
+    arrays = {}
     for name in names:
         arr = np.asarray(entries[name])
         if arr.dtype not in _DTYPE_CODES:
             raise CheckpointError(f"{name}: unsupported dtype {arr.dtype}")
         if arr.ndim > MAX_RANK:
             raise CheckpointError(f"{name}: rank {arr.ndim} exceeds {MAX_RANK}")
-        encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded))
-        blob += encoded
-        blob += struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-        blob += np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+        arrays[name] = arr
+    header = MAGIC + struct.pack("<II", 1 if config is None else FORMAT_VERSION, len(names))
+    if config is not None:
+        text = emit_config(config).encode("utf-8")
+        header += struct.pack("<I", len(text)) + text
+    with open(path, "wb") as f:
+        crc = 0
+
+        def write(data) -> None:
+            nonlocal crc
+            f.write(data)
+            crc = zlib.crc32(data, crc)
+
+        write(header)
+        for name, arr in arrays.items():
+            encoded = name.encode("utf-8")
+            write(struct.pack("<I", len(encoded)) + encoded
+                  + struct.pack(f"<BB{arr.ndim}Q", _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape))
+            write(_bytes_of(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))))
+        f.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
@@ -76,64 +94,104 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
 def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str | None]:
     """Return the tensors and the stored config text (None for version 1)."""
-    raw = memoryview(Path(path).read_bytes())
-    if len(raw) < 16:
-        raise CheckpointError("file too short to be a checkpoint")
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"bad magic {bytes(raw[:4])!r}")
-    (stored_crc,) = struct.unpack("<I", raw[-4:])
-    body = raw[:-4]
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
-        raise CheckpointError("CRC mismatch: checkpoint is corrupted")
-    reader = _Reader(body, 4)
-    version, count = reader.unpack("<II", "header")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < 16:
+            raise CheckpointError("file too short to be a checkpoint")
+        body = _Body(f, size - 4)
+        magic = body.read(4, "magic")
+        if magic != MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}")
+        try:
+            result, error = _parse(body), None
+        except CheckpointError as exc:
+            result, error = None, exc
+        body.check_crc()
+    if error is not None:
+        raise error
+    return result
+
+
+def _parse(body: _Body) -> tuple[dict[str, np.ndarray], str | None]:
+    version, count = body.unpack("<II", "header")
     if version not in (1, FORMAT_VERSION):
         raise CheckpointError(f"unsupported format version {version}")
     config = None
     if version == FORMAT_VERSION:
-        (config_len,) = reader.unpack("<I", "config length")
-        config = reader.text(config_len, "config")
+        (config_len,) = body.unpack("<I", "config length")
+        config = body.text(config_len, "config")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = reader.unpack("<I", "name length")
-        name = reader.text(name_len, "tensor name")
-        code, rank = reader.unpack("<BB", f"{name}: dtype and rank")
+        (name_len,) = body.unpack("<I", "name length")
+        name = body.text(name_len, "tensor name")
+        code, rank = body.unpack("<BB", f"{name}: dtype and rank")
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"{name}: unknown dtype code {code}")
         if rank > MAX_RANK:
             raise CheckpointError(f"{name}: rank {rank} exceeds {MAX_RANK}")
-        shape = reader.unpack(f"<{rank}Q", f"{name}: extents")
+        shape = body.unpack(f"<{rank}Q", f"{name}: extents")
         dtype = _CODE_DTYPES[code]
         if math.prod(e for e in shape if e) * dtype.itemsize > _MAX_BYTES:
             raise CheckpointError(f"{name}: extents {shape} are too large")
-        size = math.prod(shape)
-        start = reader.skip(size * dtype.itemsize, f"{name}: payload")
+        arr = body.array(shape, dtype, f"{name}: payload")
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
-        out[name] = np.frombuffer(body, dtype=dtype, count=size, offset=start).reshape(shape).copy()
-    if reader.pos != len(body):
+        out[name] = arr
+    if body.left:
         raise CheckpointError("trailing bytes after last entry")
     return out, config
 
 
-class _Reader:
-    """Cursor over the CRC-checked body; never reads past its end."""
+def _bytes_of(arr: np.ndarray) -> np.ndarray:
+    """Flat uint8 view of a C-contiguous array."""
+    return arr.reshape(-1).view(np.uint8)
 
-    def __init__(self, body: memoryview, pos: int):
-        self.body, self.pos = body, pos
 
-    def skip(self, n: int, what: str) -> int:
-        if n > len(self.body) - self.pos:
+class _Body:
+    """Reads the body (every byte before the CRC trailer) in order, never past
+    its end, and keeps the CRC of the bytes read so far."""
+
+    def __init__(self, f, size: int):
+        self.f, self.left, self.crc = f, size, 0
+
+    def _claim(self, n: int, what: str) -> None:
+        """Check that ``n`` more bytes remain, before reading or allocating them."""
+        if n > self.left:
             raise CheckpointError(f"{what}: truncated")
-        start, self.pos = self.pos, self.pos + n
-        return start
+
+    def _took(self, data, n: int, what: str) -> None:
+        if len(data) != n:
+            raise CheckpointError(f"{what}: truncated")
+        self.left -= n
+        self.crc = zlib.crc32(data, self.crc)
+
+    def read(self, n: int, what: str) -> bytes:
+        self._claim(n, what)
+        data = self.f.read(n)
+        self._took(data, n, what)
+        return data
+
+    def array(self, shape: tuple[int, ...], dtype: np.dtype, what: str) -> np.ndarray:
+        """Read the next payload straight into a new array of its own."""
+        self._claim(math.prod(shape) * dtype.itemsize, what)
+        arr = np.empty(shape, dtype)
+        view = _bytes_of(arr)
+        self._took(view[: self.f.readinto(view)], view.size, what)
+        return arr
 
     def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack_from(fmt, self.body, self.skip(struct.calcsize(fmt), what))
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
     def text(self, n: int, what: str) -> str:
-        start = self.skip(n, what)
         try:
-            return str(self.body[start : self.pos], "utf-8")
+            return str(self.read(n, what), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{what}: invalid utf-8") from None
+
+    def check_crc(self) -> None:
+        """Read what the parse left and compare the CRC with the trailer."""
+        while self.left:
+            self.read(min(self.left, 1 << 20), "body")
+        trailer = self.f.read(4)
+        if len(trailer) != 4 or struct.unpack("<I", trailer)[0] != self.crc:
+            raise CheckpointError("CRC mismatch: checkpoint is corrupted")

@@ -103,7 +103,11 @@ def cmd_count(args) -> int:
     spec = to_model_spec(cfg)
     params = count_params(spec)
     macs = count_flops(spec)
-    model = "stages from the config" if cfg.stages else f"variant={cfg.variant} cel={cfg.cel}"
+    model = "stages from the config"
+    if not cfg.stages:  # name the embedding-layer mode the stages use; the toy fixes its own
+        kernels = (spec.stages[0].cel.kernel_sizes, spec.stages[1].cel.kernel_sizes)
+        cel = next(mode for mode, sets in CEL_KERNELS.items() if sets == kernels)
+        model = f"variant={cfg.variant} cel={cel}"
     print(f"configuration: {model} bias={cfg.bias} attn={cfg.attention} "
           f"input={spec.input_size[0]}x{spec.input_size[1]}")
     print("\nparameters")
@@ -243,7 +247,7 @@ def cmd_bake_dpb(args) -> int:
                   f"{source} expects {param.data.shape}{hint}", file=sys.stderr)
             return USAGE_ERROR
     for name, param in named.items():
-        param.data = entries[name].astype(param.data.dtype)
+        param.data = entries[name].astype(param.data.dtype, copy=False)
 
     rng = np.random.default_rng(cfg.seed)
     x = Tensor(rng.standard_normal((1, *spec.input_size, 3)).astype(np.float32))

@@ -11,14 +11,22 @@ __all__ = ["Module", "Linear", "LayerNorm", "Mlp", "trunc_normal", "drop_path_ma
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) samples redrawn until they land within +/- 2 std."""
-    out = rng.standard_normal(shape) * std
+    """Normal(0, std) samples redrawn until they land within +/- 2 std.
+
+    Each round redraws only the entries the previous round rejected, in flat
+    index order, so the draws land where a whole-tensor rescan would put them.
+    """
+    out = rng.standard_normal(shape)
+    out *= std
+    flat = out.reshape(-1)
     bound = 2.0 * std
-    bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(out) > bound
-    return out.astype(dtype)
+    redo = np.flatnonzero((flat > bound) | (flat < -bound))
+    while redo.size:
+        draws = rng.standard_normal(redo.size)
+        draws *= std
+        flat[redo] = draws
+        redo = redo[np.abs(draws) > bound]
+    return out.astype(dtype, copy=False)
 
 
 def _walk(name: str, value):

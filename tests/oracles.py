@@ -165,3 +165,15 @@ def dpb_bias_matrix_per_offset(dpb, slots_h: int, slots_w: int):
             idx[i, j] = (xi - xj + slots_h - 1) * tw + (yi - yj + slots_w - 1)
     table = dpb_table_per_offset(dpb, slots_h, slots_w)
     return T.index_rows(table.reshape((2 * slots_h - 1) * tw, dpb.heads), idx)
+
+
+def trunc_normal_rescan(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
+    """Truncated normal by whole-tensor rescans: every round re-masks the
+    full tensor and redraws each entry outside +/- 2 std, in flat order."""
+    out = rng.standard_normal(shape) * std
+    bound = 2.0 * std
+    bad = np.abs(out) > bound
+    while bad.any():
+        out[bad] = rng.standard_normal(int(bad.sum())) * std
+        bad = np.abs(out) > bound
+    return out.astype(dtype)

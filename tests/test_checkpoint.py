@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -58,6 +59,75 @@ def test_every_corrupted_byte_detected(tmp_path):
         path.write_bytes(bytes(mutated))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def test_flipped_header_byte_reports_crc_mismatch(tmp_path):
+    """Corruption that also breaks the parse is still named as a CRC mismatch."""
+    path = tmp_path / "m.xfmr"
+    w = np.zeros((2, 3), dtype=np.float32)
+    save_checkpoint(path, {"w": w}, config=RunConfig(classes=4))
+    raw = path.read_bytes()
+    payload_start = len(raw) - 4 - w.nbytes
+    for pos in [*range(4, payload_start), len(raw) - 1]:
+        mutated = bytearray(raw)
+        mutated[pos] ^= 0xFF
+        path.write_bytes(bytes(mutated))
+        with pytest.raises(CheckpointError, match="^CRC mismatch"):
+            load_checkpoint(path)
+    path.write_bytes(b"XFMS" + raw[4:])
+    with pytest.raises(CheckpointError, match="^bad magic"):
+        load_checkpoint(path)
+
+
+def test_huge_extent_refused_before_allocation(tmp_path):
+    body = MAGIC + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"w" + struct.pack("<BBQ", 0, 1, 2**60)
+    body += b"\0" * 64
+    path = tmp_path / "huge.xfmr"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="w: payload: truncated"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_load_peak_memory_is_one_copy_of_the_payload(tmp_path):
+    rng = np.random.default_rng(1)
+    entries = {f"w{i}": rng.standard_normal((256, 1024)).astype(np.float32) for i in range(8)}
+    entries["d"] = rng.standard_normal((64, 64))
+    payload = sum(a.nbytes for a in entries.values())
+    assert payload >= 8 << 20
+    path = tmp_path / "big.xfmr"
+    save_checkpoint(path, entries)
+    del entries
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * payload
+    assert sum(a.nbytes for a in loaded.values()) == payload
+
+
+def test_loaded_arrays_own_aligned_writable_memory(tmp_path):
+    path = tmp_path / "m.xfmr"
+    save_checkpoint(path, sample_entries())
+    for name, arr in load_checkpoint(path).items():
+        assert arr.flags.owndata and arr.flags.c_contiguous, name
+        assert arr.flags.aligned and arr.flags.writeable, name
+        assert arr.ctypes.data % arr.dtype.itemsize == 0, name
+
+
+def test_rejected_save_writes_no_file(tmp_path):
+    path = tmp_path / "m.xfmr"
+    entries = {"a": np.zeros(2, dtype=np.float32), "b": np.zeros(3, dtype=np.int32)}
+    with pytest.raises(CheckpointError):
+        save_checkpoint(path, entries)
+    assert not path.exists()
 
 
 def test_duplicate_names_rejected(tmp_path):

@@ -71,6 +71,16 @@ class TestCount:
         assert code == 0
         assert "module,params" in out and "module,macs" in out
 
+    @pytest.mark.parametrize("argv, cel", [
+        (("--variant", "toy"), "two"),
+        (("--variant", "tiny"), "cross"),
+        (("--variant", "tiny", "--cel", "single"), "single"),
+    ], ids=["toy", "tiny", "tiny-single"])
+    def test_header_names_the_embedding_mode_the_stages_use(self, capsys, argv, cel):
+        code, out, _ = run(capsys, "count", *argv)
+        assert code == 0
+        assert out.splitlines()[0].startswith(f"configuration: variant={argv[1]} cel={cel} bias=dpb ")
+
     def test_stage_config_header_names_no_variant(self, capsys, tmp_path):
         cfg = tmp_path / "stages.cfg"
         cfg.write_text("input_size = 64 64\nclasses = 4\n" + stage_sections("4, 8"))

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import xfmr.bias
+import xfmr.embed
+import xfmr.layers
 import xfmr.model
 import xfmr.tensor as T
 from xfmr import (
@@ -17,6 +22,9 @@ from xfmr import (
 )
 from xfmr.model import MLP_RATIO, ModelSpec, StageSpec
 from xfmr.embed import CelSpec
+from xfmr.layers import trunc_normal
+
+from oracles import trunc_normal_rescan
 
 
 class TestVariantTables:
@@ -219,6 +227,35 @@ class TestInit:
         for name, p in model.named_parameters():
             if name.endswith(".w") or "kernels" in name:
                 assert np.abs(p.data).max() <= 2 * 0.02 + 1e-9, name
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.lists(st.integers(0, 40), min_size=1, max_size=3).map(tuple),
+           std=st.sampled_from([0.02, 1.0, 1e-3, 0.37, 5.0]), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @example(shape=(0,), std=0.5, seed=4, dtype=np.float32)
+    @example(shape=(3, 0, 2), std=0.5, seed=4, dtype=np.float64)
+    @example(shape=(1,), std=0.5, seed=4, dtype=np.float64)
+    @example(shape=(1, 1), std=0.02, seed=4, dtype=np.float32)
+    def test_trunc_normal_equals_rescan_oracle(self, shape, std, seed, dtype):
+        got = trunc_normal(np.random.default_rng(seed), shape, std, dtype)
+        want = trunc_normal_rescan(np.random.default_rng(seed), shape, std, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert (np.abs(got) <= dtype(2 * std)).all()  # rounding to dtype keeps |w| <= 2 std
+
+    @pytest.mark.parametrize("variant", ["toy", "tiny"])
+    def test_build_model_equals_rescan_built(self, variant, monkeypatch):
+        spec = toy_spec() if variant == "toy" else build_variant(variant)
+        for seed in range(3):
+            fast = build_model(spec, seed=seed)
+            with monkeypatch.context() as m:
+                for module in (xfmr.layers, xfmr.bias, xfmr.embed):
+                    m.setattr(module, "trunc_normal", trunc_normal_rescan)
+                slow = build_model(spec, seed=seed)
+            for (na, pa), (nb, pb) in zip(fast.named_parameters(), slow.named_parameters(), strict=True):
+                assert na == nb and pa.data.dtype == pb.data.dtype
+                assert pa.data.tobytes() == pb.data.tobytes(), na
+            del fast, slow
 
     def test_norms_and_biases(self):
         model = build_model(toy_spec(), seed=0)
