@@ -44,7 +44,7 @@ MAGIC = b"XFMR"
 FORMAT_VERSION = 2
 MAX_RANK = 32
 
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_DTYPE_CODES = {"f": 0, "d": 1}  # by dtype.char, which is the same in either byte order
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _MAX_BYTES = np.iinfo(np.intp).max
 
@@ -62,7 +62,7 @@ def save_checkpoint(path: str | Path, entries: dict[str, np.ndarray],
     arrays = {}
     for name in names:
         arr = np.asarray(entries[name])
-        if arr.dtype not in _DTYPE_CODES:
+        if arr.dtype.char not in _DTYPE_CODES:
             raise CheckpointError(f"{name}: unsupported dtype {arr.dtype}")
         if arr.ndim > MAX_RANK:
             raise CheckpointError(f"{name}: rank {arr.ndim} exceeds {MAX_RANK}")
@@ -83,7 +83,7 @@ def save_checkpoint(path: str | Path, entries: dict[str, np.ndarray],
         for name, arr in arrays.items():
             encoded = name.encode("utf-8")
             write(struct.pack("<I", len(encoded)) + encoded
-                  + struct.pack(f"<BB{arr.ndim}Q", _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape))
+                  + struct.pack(f"<BB{arr.ndim}Q", _DTYPE_CODES[arr.dtype.char], arr.ndim, *arr.shape))
             write(_bytes_of(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))))
         f.write(struct.pack("<I", crc))
 

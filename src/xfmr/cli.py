@@ -1,5 +1,5 @@
 """Command-line surface: architecture listings, cost accounting,
-verification, micro-benchmarks and toy training.
+verification and toy training.
 
 Exit codes: 0 success, 1 a check failed, 2 usage or configuration error.
 """
@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a check failed, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import fields, replace
@@ -15,7 +16,6 @@ import numpy as np
 
 from . import tensor as T
 from .analysis import check_against_targets, count_flops, count_params
-from .bench import attention_scaling, format_table, growth_ratios
 from .bias import BIAS_KINDS, BiasRangeError, bake_to_table
 from .checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from .config import TOY_TRAINING, RunConfig, emit_config, load_config, parse_config, to_model_spec
@@ -166,18 +166,13 @@ def cmd_gradcheck(args) -> int:
     def loss() -> T.Tensor:
         return cross_entropy(model(images, train=False, rng=train_rng), labels)
 
-    corrupt = T.CORRUPT_BACKWARD
-    T.CORRUPT_BACKWARD = corrupt or args.corrupt_backward
-    try:
-        report = grad_check(
-            loss,
-            list(model.named_parameters()),
-            tol=args.tol,
-            max_entries_per_tensor=args.entries_per_tensor,
-            rng=np.random.default_rng(cfg.seed),
-        )
-    finally:
-        T.CORRUPT_BACKWARD = corrupt
+    report = grad_check(
+        loss,
+        list(model.named_parameters()),
+        tol=args.tol,
+        max_entries_per_tensor=args.entries_per_tensor,
+        rng=np.random.default_rng(cfg.seed),
+    )
     print(report.summary())
     worst_groups = sorted(report.per_tensor.items(), key=lambda kv: kv[1], reverse=True)[:5]
     print("worst parameter groups:")
@@ -202,19 +197,6 @@ def cmd_train_toy(args) -> int:
         save_checkpoint(args.out, {name: p.data for name, p in model.named_parameters()}, config=cfg)
         print(f"checkpoint written to {args.out}")
     return OK if ok else CHECK_FAILED
-
-
-def cmd_bench(args) -> int:
-    sides = args.sizes or [14, 28, 56]
-    rows = attention_scaling(sides, group_size=args.group)
-    print(format_table(rows))
-    failed = False
-    for s_from, s_to, grouped, full in growth_ratios(rows):
-        if s_to == 2 * s_from and s_from % args.group == 0 and s_to % args.group == 0:
-            print(f"S {s_from}->{s_to}: grouped MACs x{grouped:.2f} (expect 4.00), "
-                  f"full x{full:.2f} (expect 16.00)")
-            failed |= grouped != 4.0 or full != 16.0
-    return CHECK_FAILED if failed else OK
 
 
 def cmd_bake_dpb(args) -> int:
@@ -267,15 +249,19 @@ def cmd_bake_dpb(args) -> int:
     return OK if diff <= 1e-6 else CHECK_FAILED
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of every count flag: a whole number of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
-    return value
+def _positive(cast, what: str):
+    """argparse type of the count flags and ``--tol``: ``cast(text)``, finite and above 0."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text} is not a positive {what}")
+        return value
+
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser, seed_default=None) -> None:
@@ -302,26 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forward", help="run one inference forward pass")
     _add_common(p)
-    p.add_argument("--batch", type=_positive_int, default=1)
+    p.add_argument("--batch", type=_positive(int, "count"), default=1)
     p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model loss")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--entries-per-tensor", type=_positive_int, default=4)
-    p.add_argument("--corrupt-backward", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--tol", type=_positive(float, "finite number"), default=1e-4)
+    p.add_argument("--entries-per-tensor", type=_positive(int, "count"), default=4)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit the synthetic dataset")
     _add_common(p)
-    p.add_argument("--steps", type=_positive_int)
+    p.add_argument("--steps", type=_positive(int, "count"))
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_train_toy)
-
-    p = sub.add_parser("bench", help="attention cost scaling table")
-    p.add_argument("--sizes", type=_positive_int, nargs="+")
-    p.add_argument("--group", type=_positive_int, default=7)
-    p.set_defaults(fn=cmd_bench)
 
     text = ("freeze dynamic position bias into fixed tables; the model comes from the "
             "checkpoint's stored config when it has one (train-toy records it), and flags that "

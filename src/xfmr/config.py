@@ -17,6 +17,7 @@ raises `ConfigError`. `bias`, `attention`, `input_size`, `classes` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,6 +52,23 @@ class RunConfig:
     warmup: int = 0
     drop_path: float | None = None
     stages: tuple[StageSpec, ...] = field(default=())
+
+    def __post_init__(self):
+        """Refuse a setting no run can use; flags, config files and stored
+        configs all pass through here."""
+        if self.dtype not in ("f32", "f64"):
+            raise ConfigError(f"dtype = {self.dtype} must be f32 or f64")
+        lows = (("seed", 0), ("classes", 1), ("steps", 1), ("batch", 1), ("samples", 1), ("warmup", 0))
+        for name, low in lows:
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} = {value} must be at least {low}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr = {self.lr} must be a positive finite number")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay = {self.weight_decay} must be a finite number of at least 0")
+        if not 0 <= (self.drop_path or 0.0) < 1:
+            raise ConfigError(f"drop_path = {self.drop_path} must be at least 0 and below 1")
 
 
 _DEFAULTS = RunConfig()
@@ -202,7 +220,7 @@ def to_model_spec(cfg: RunConfig) -> ModelSpec:
         base = build_variant(cfg.variant, task=cfg.task, cel_mode=cfg.cel)
     return replace(
         base,
-        classes=cfg.classes or base.classes,
+        classes=base.classes if cfg.classes is None else cfg.classes,
         bias_kind=cfg.bias,
         attention_mode=cfg.attention,
         input_size=cfg.input_size or base.input_size,

@@ -78,6 +78,8 @@ class ModelSpec:
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         if self.bias_kind not in BIAS_KINDS:
             raise ConfigError(f"unknown bias kind {self.bias_kind!r}")
+        if self.classes < 1:
+            raise ConfigError(f"classes = {self.classes} must be at least 1")
 
     def stage_grids(self, input_size: tuple[int, int] | None = None) -> list[tuple[int, int]]:
         """Embedding-grid extents after each stage's embedding layer, for

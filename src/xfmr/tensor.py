@@ -37,10 +37,6 @@ __all__ = [
 
 _GRAD_ENABLED = True
 
-# Debug switch: deliberately corrupts one backward rule so that gradient
-# checking has a live negative control (see cli gradcheck --corrupt-backward).
-CORRUPT_BACKWARD = False
-
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 
@@ -294,10 +290,7 @@ def relu(t: Tensor) -> Tensor:
     out_data = np.maximum(t.data, 0.0)
 
     def _bw(g):
-        gate = (t.data > 0).astype(t.data.dtype)
-        if CORRUPT_BACKWARD:
-            gate = gate * 1.05  # negative control for gradient checking
-        _accumulate(t, g * gate)
+        _accumulate(t, g * (t.data > 0).astype(t.data.dtype))
 
     return _make(out_data, (t,), _bw)
 

@@ -177,3 +177,18 @@ def trunc_normal_rescan(rng: np.random.Generator, shape, std: float = 0.02, dtyp
         out[bad] = rng.standard_normal(int(bad.sum())) * std
         bad = np.abs(out) > bound
     return out.astype(dtype)
+
+
+def scaled_backward(op, factor: float = 1.05):
+    """``op`` with a deliberately wrong derivative: each output node's backward
+    rule receives ``factor`` times its upstream gradient. Installed with
+    ``monkeypatch``, it is the live negative control for gradient checking."""
+
+    def wrapped(*args, **kwargs):
+        out = op(*args, **kwargs)
+        rule = out._backward
+        if rule is not None:
+            out._backward = lambda g: rule(g * factor)
+        return out
+
+    return wrapped

@@ -31,7 +31,7 @@ from xfmr import (
     toy_spec,
     ungroup,
 )
-from xfmr.analysis import CEL_TARGETS, FLOP_TARGETS, PARAM_TARGETS, POSITION_PARAM_TARGETS
+from xfmr.analysis import CEL_TARGETS, FLOP_TARGETS, PARAM_TARGETS, POSITION_PARAM_TARGETS, attention_map_macs
 from xfmr.attention import attend_tokens, key_padding_logits
 from xfmr.data import linear_probe_accuracy
 from xfmr.tensor import cross_entropy
@@ -156,29 +156,40 @@ def test_06_bias_table_and_bake_equivalence():
     )
 
 
-def _attention_map_macs(side: int, group_size: int) -> int:
+def _attention_map_macs(side: int, group_size: int | None) -> int:
+    """Executed MACs of the score and mixing matmuls on a side x side grid:
+    short-distance groups of extent ``group_size``, or, for None, full
+    attention with every token in one group and no layout."""
     rng = np.random.default_rng(0)
     dim, heads = 32, 2
     attn = GroupedAttention(rng, dim, heads, None, dtype=np.float32)
-    layout = build_layout("sda", side, side, group_size)
     x = Tensor(rng.standard_normal((1, side, side, dim)).astype(np.float32))
     with no_grad():
-        q, k, v = attn.qkv(group(x, layout))
+        if group_size is None:
+            g, pad = x.reshape(1, 1, side * side, dim), None
+        else:
+            layout = build_layout("sda", side, side, group_size)
+            g, pad = group(x, layout), key_padding_logits(layout, np.float32)
+        q, k, v = attn.qkv(g)
         with count_macs() as counter:
-            attend_tokens(q, k, v, key_logits=key_padding_logits(layout, np.float32))
+            attend_tokens(q, k, v, key_logits=pad)
     return counter.macs
 
 
 def test_07_complexity_scaling_quadratic_vs_quartic():
     g14 = _attention_map_macs(14, 7)
     g28 = _attention_map_macs(28, 7)
-    full14 = _attention_map_macs(14, 14)
-    full28 = _attention_map_macs(28, 28)
+    full14 = _attention_map_macs(14, None)
+    full28 = _attention_map_macs(28, None)
     assert g28 == 4 * g14, (g14, g28)
     assert full28 == 16 * full14, (full14, full28)
+    g21 = _attention_map_macs(21, 7)
+    assert g21 == attention_map_macs(21 * 21, 7 * 7, 32), g21
+    assert _attention_map_macs(14, 14) == full14  # one group of every token is full attention
     report(
         "criterion 7 PASS: counted attention MACs grow x4.00 grouped (G=7) vs "
-        f"x16.00 full when S doubles ({g14}->{g28}, {full14}->{full28})"
+        f"x16.00 full when S doubles ({g14}->{g28}, {full14}->{full28}); "
+        f"S=21 matches the closed form ({g21})"
     )
 
 

@@ -139,6 +139,18 @@ def test_duplicate_names_rejected(tmp_path):
         save_checkpoint(tmp_path / "m.xfmr", Sneaky(x=np.zeros(1, dtype=np.float32)))
 
 
+@pytest.mark.parametrize("code", ["f4", "f8"])
+def test_big_endian_array_saved_as_little_endian(tmp_path, code):
+    values = np.arange(-3.0, 4.5, 0.75)
+    big, little = tmp_path / "big.xfmr", tmp_path / "little.xfmr"
+    save_checkpoint(big, {"w": values.astype(">" + code)})
+    save_checkpoint(little, {"w": values.astype("<" + code)})
+    assert big.read_bytes() == little.read_bytes()
+    loaded = load_checkpoint(big)["w"]
+    assert loaded.dtype == np.dtype("<" + code)
+    assert (loaded == values).all()
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(CheckpointError):
         save_checkpoint(tmp_path / "m.xfmr", {"x": np.zeros(3, dtype=np.int32)})
