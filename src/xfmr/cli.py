@@ -21,8 +21,8 @@ from .checkpoint import CheckpointError, read_checkpoint, save_checkpoint
 from .config import TOY_TRAINING, RunConfig, emit_config, load_config, parse_config, to_model_spec
 from .embed import ConfigError
 from .gradcheck import GradCheckError, grad_check
-from .model import (ATTENTION_MODES, CEL_KERNELS, VARIANT_NAMES, build_model, build_variant,
-                    canonical_variant, toy_spec)
+from .model import (ATTENTION_MODES, CEL_KERNELS, TASKS, VARIANT_CHOICES, VARIANT_NAMES, build_model,
+                    build_variant, canonical_variant, toy_spec)
 from .tensor import ShapeError, Tensor, cross_entropy
 from .train import DivergenceError, train_toy
 
@@ -31,20 +31,15 @@ USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 GRADCHECK_PARAM_LIMIT = 2_000_000
 
 
-def _flag_updates(args) -> dict[str, tuple[str, object]]:
-    """RunConfig field -> (flag, value) for every config flag given."""
-    size = getattr(args, "size", None)
-    given = {
-        "variant": ("--variant", getattr(args, "variant", None)),
-        "task": ("--task", getattr(args, "task", None)),
-        "bias": ("--bias", getattr(args, "bias", None)),
-        "attention": ("--attn", getattr(args, "attn", None)),
-        "cel": ("--cel", getattr(args, "cel", None)),
-        "seed": ("--seed", getattr(args, "seed", None)),
-        "input_size": ("--size", (size[0], size[1]) if size else None),
-        "steps": ("--steps", getattr(args, "steps", None)),
-    }
-    return {name: given[name] for name in given if given[name][1] is not None}
+# RunConfig field -> the flag that sets it; each flag's dest is its field
+_FLAGS = {"variant": "--variant", "task": "--task", "bias": "--bias", "attention": "--attn", "cel": "--cel",
+          "seed": "--seed", "input_size": "--size", "steps": "--steps"}
+
+
+def _flag_updates(args) -> dict[str, object]:
+    """RunConfig field -> value for every config flag given."""
+    return {name: tuple(v) if isinstance(v, list) else v
+            for name in _FLAGS if (v := getattr(args, name, None)) is not None}
 
 
 def _config_from_args(args, base: RunConfig | None = None) -> RunConfig:
@@ -53,7 +48,7 @@ def _config_from_args(args, base: RunConfig | None = None) -> RunConfig:
         base = load_config(args.config)
     elif base is None:
         base = RunConfig()
-    return replace(base, **{name: value for name, (_, value) in _flag_updates(args).items()})
+    return replace(base, **_flag_updates(args))
 
 
 def _stored_config_conflict(args, stored: RunConfig) -> str | None:
@@ -66,7 +61,7 @@ def _stored_config_conflict(args, stored: RunConfig) -> str | None:
             continue
         if given != kept:
             given, kept = (" ".join(map(str, v)) if isinstance(v, tuple) else v for v in (given, kept))
-            what = (f"{flags[f.name][0]} {given}" if f.name in flags
+            what = (f"{_FLAGS[f.name]} {given}" if f.name in flags
                     else f"--config {args.config} ({f.name} = {given})")
             return (f"{what} disagrees with the checkpoint's stored config ({f.name} = {kept}); "
                     f"drop it, the stored config builds the model")
@@ -87,7 +82,7 @@ def _stage_table(spec) -> str:
 
 def cmd_variants(args) -> int:
     for name in VARIANT_NAMES:
-        for task in ("classification", "dense"):
+        for task in TASKS:
             spec = build_variant(name, task=task)
             print(f"== {name} ({task}), input {spec.input_size[0]}x{spec.input_size[1]} ==")
             print(_stage_table(spec))
@@ -264,15 +259,15 @@ def _positive(cast, what: str):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser, seed_default=None) -> None:
-    p.add_argument("--variant", choices=[*VARIANT_NAMES, "t", "s", "b", "l", "toy"])
-    p.add_argument("--task", choices=["classification", "dense"])
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=VARIANT_CHOICES)
+    p.add_argument("--task", choices=TASKS)
     p.add_argument("--config", metavar="PATH")
     p.add_argument("--bias", choices=BIAS_KINDS)
-    p.add_argument("--attn", choices=ATTENTION_MODES)
+    p.add_argument("--attn", choices=ATTENTION_MODES, dest="attention")
     p.add_argument("--cel", choices=tuple(CEL_KERNELS))
-    p.add_argument("--seed", type=int, default=seed_default)
-    p.add_argument("--size", type=int, nargs=2, metavar=("H", "W"))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--size", type=int, nargs=2, metavar=("H", "W"), dest="input_size")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,10 @@
 """Line-oriented run configuration files.
 
 Format: `key = value` pairs, `#` comments, optional `[stage.N]` sections
-(N in 1..4). Emitting and re-parsing a config yields an equal config.
+(N in 1..4). The top-level keys and their order in the file are `RunConfig`'s
+fields; `emit_config` leaves out an unset `input_size` or `classes` and writes
+an unset `drop_path` as `auto`. Emitting and re-parsing a config yields an
+equal config.
 
 Which fields apply depends on where the stages come from:
 - a named variant (tiny, small, base, large or t, s, b, l) reads `task`
@@ -18,15 +21,19 @@ raises `ConfigError`. `bias`, `attention`, `input_size`, `classes` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .bias import BIAS_KINDS
 from .embed import CelSpec, ConfigError
-from .model import ModelSpec, StageSpec, build_variant, toy_spec
+from .model import (ATTENTION_MODES, CEL_KERNELS, TASKS, VARIANT_CHOICES, VARIANT_NAMES, ModelSpec, StageSpec,
+                    build_variant, canonical_variant, toy_spec)
 
 __all__ = ["RunConfig", "TOY_TRAINING", "parse_config", "emit_config", "load_config", "to_model_spec"]
 
 _STAGE_KEYS = ("kernels", "stride", "dim", "heads", "group", "interval", "blocks")
+_CHOICES = {"variant": VARIANT_CHOICES, "task": TASKS, "bias": BIAS_KINDS, "attention": ATTENTION_MODES,
+            "cel": tuple(CEL_KERNELS), "dtype": ("f32", "f64")}
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,10 @@ class RunConfig:
     def __post_init__(self):
         """Refuse a setting no run can use; flags, config files and stored
         configs all pass through here."""
-        if self.dtype not in ("f32", "f64"):
-            raise ConfigError(f"dtype = {self.dtype} must be f32 or f64")
+        for name, allowed in _CHOICES.items():  # a variant may also be any case of a size or alias
+            value = getattr(self, name)
+            if value not in allowed and not (name == "variant" and canonical_variant(value) in VARIANT_NAMES):
+                raise ConfigError(f"{name} = {value} must be {', '.join(allowed[:-1])} or {allowed[-1]}")
         lows = (("seed", 0), ("classes", 1), ("steps", 1), ("batch", 1), ("samples", 1), ("warmup", 0))
         for name, low in lows:
             value = getattr(self, name)
@@ -72,26 +81,10 @@ class RunConfig:
 
 
 _DEFAULTS = RunConfig()
+_KEYS = [f.name for f in fields(RunConfig) if f.name != "stages"]
 
 # the toy training recipe: overfits `synth_dataset` within 500 steps
 TOY_TRAINING = {"classes": 4, "lr": 1e-2, "weight_decay": 0.01, "warmup": 20, "drop_path": 0.0}
-
-
-_SCALARS = {
-    "variant": str,
-    "task": str,
-    "bias": str,
-    "attention": str,
-    "cel": str,
-    "seed": int,
-    "dtype": str,
-    "steps": int,
-    "batch": int,
-    "samples": int,
-    "lr": float,
-    "weight_decay": float,
-    "warmup": int,
-}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -117,13 +110,11 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
+        keys, into = (_KEYS, values) if section is None else (_STAGE_KEYS, stage_values[section])
+        if key not in keys:
+            raise ConfigError(f"line {lineno}: unknown {'' if section is None else 'stage '}key {key!r}")
         try:
-            if section is None:
-                _parse_top(key, value, values, lineno)
-            else:
-                _parse_stage(key, value, stage_values[section], lineno)
-        except ConfigError:
-            raise
+            into[key] = _decode(key, value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
     if stage_values:
@@ -139,65 +130,39 @@ def parse_config(text: str) -> RunConfig:
                                     heads=sv["heads"], group_size=sv["group"], interval=sv["interval"],
                                     blocks=sv["blocks"]))
         values["stages"] = tuple(stages)
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**values)
 
 
-def _parse_top(key: str, value: str, values: dict, lineno: int) -> None:
-    if key in _SCALARS:
-        values[key] = _SCALARS[key](value)
-    elif key == "input_size":
-        parts = value.split()
-        if len(parts) != 2:
-            raise ConfigError(f"line {lineno}: input_size wants 'H W'")
-        values["input_size"] = (int(parts[0]), int(parts[1]))
-    elif key == "classes":
-        values["classes"] = int(value)
-    elif key == "drop_path":
-        values["drop_path"] = None if value == "auto" else float(value)
-    else:
-        raise ConfigError(f"line {lineno}: unknown key {key!r}")
-
-
-def _parse_stage(key: str, value: str, sv: dict, lineno: int) -> None:
+def _decode(key: str, text: str):
+    """The value of one `key = text` line: a stage key's int (kernels: a list),
+    `input_size` "H W", `classes` an int, `drop_path` a float or `auto`, and
+    any other key the type of its default."""
     if key == "kernels":
-        sv["kernels"] = tuple(int(p) for p in value.replace(",", " ").split())
-    elif key in _STAGE_KEYS:
-        sv[key] = int(value)
-    else:
-        raise ConfigError(f"line {lineno}: unknown stage key {key!r}")
+        return tuple(int(p) for p in text.replace(",", " ").split())
+    if key in _STAGE_KEYS or key == "classes":
+        return int(text)
+    if key == "input_size":
+        h, w = text.split()
+        return int(h), int(w)
+    if key == "drop_path":
+        return None if text == "auto" else float(text)
+    return type(getattr(_DEFAULTS, key))(text)
+
+
+def _encode(value) -> str:
+    """The text of one value: `auto` for None (an unset drop_path), "H W" for a pair."""
+    if value is None:
+        return "auto"
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def emit_config(cfg: RunConfig) -> str:
-    lines = [
-        f"variant = {cfg.variant}",
-        f"task = {cfg.task}",
-        f"bias = {cfg.bias}",
-        f"attention = {cfg.attention}",
-        f"cel = {cfg.cel}",
-    ]
-    if cfg.input_size is not None:
-        lines.append(f"input_size = {cfg.input_size[0]} {cfg.input_size[1]}")
-    if cfg.classes is not None:
-        lines.append(f"classes = {cfg.classes}")
-    lines += [
-        f"seed = {cfg.seed}",
-        f"dtype = {cfg.dtype}",
-        f"steps = {cfg.steps}",
-        f"batch = {cfg.batch}",
-        f"samples = {cfg.samples}",
-        f"lr = {cfg.lr!r}",
-        f"weight_decay = {cfg.weight_decay!r}",
-        f"warmup = {cfg.warmup}",
-        f"drop_path = {'auto' if cfg.drop_path is None else repr(cfg.drop_path)}",
-    ]
+    lines = [f"{key} = {_encode(getattr(cfg, key))}" for key in _KEYS
+             if getattr(cfg, key) is not None or key == "drop_path"]
     for n, stage in enumerate(cfg.stages, 1):
-        lines.append(f"[stage.{n}]")
-        lines.append("kernels = " + ", ".join(str(k) for k in stage.cel.kernel_sizes))
-        values = (stage.cel.stride, stage.dim, stage.heads, stage.group_size, stage.interval, stage.blocks)
-        lines += [f"{key} = {value}" for key, value in zip(_STAGE_KEYS[1:], values)]
+        values = (", ".join(map(str, stage.cel.kernel_sizes)), stage.cel.stride, stage.dim, stage.heads,
+                  stage.group_size, stage.interval, stage.blocks)
+        lines += [f"[stage.{n}]", *(f"{key} = {value}" for key, value in zip(_STAGE_KEYS, values))]
     return "\n".join(lines) + "\n"
 
 

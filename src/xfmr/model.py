@@ -24,6 +24,8 @@ __all__ = [
     "StageSpec",
     "ModelSpec",
     "VARIANT_NAMES",
+    "VARIANT_CHOICES",
+    "TASKS",
     "build_variant",
     "toy_spec",
     "Block",
@@ -123,6 +125,8 @@ _VARIANTS = {
 }
 _ALIASES = {"t": "tiny", "s": "small", "b": "base", "l": "large"}
 VARIANT_NAMES = tuple(_VARIANTS)
+# every `variant` a run config takes: the named sizes, their aliases and the toy
+VARIANT_CHOICES = (*VARIANT_NAMES, *_ALIASES, "toy")
 
 
 def canonical_variant(name: str) -> str:
@@ -137,6 +141,7 @@ _TASK_GROUPING = {
     "classification": ((7, 7, 7, 7), (8, 4, 2, 1), (224, 224)),
     "dense": ((14, 14, 7, 7), (16, 8, 2, 1), (800, 1280)),
 }
+TASKS = tuple(_TASK_GROUPING)
 
 
 def _stages(cel_mode: str, dims, heads, groups, intervals, depths) -> tuple[StageSpec, ...]:

@@ -185,7 +185,9 @@ def test_07_complexity_scaling_quadratic_vs_quartic():
     assert full28 == 16 * full14, (full14, full28)
     g21 = _attention_map_macs(21, 7)
     assert g21 == attention_map_macs(21 * 21, 7 * 7, 32), g21
-    assert _attention_map_macs(14, 14) == full14  # one group of every token is full attention
+    # one group of every token is full attention
+    assert build_layout("sda", 14, 14, 14).n_groups == 1
+    assert _attention_map_macs(14, 14) == full14 == attention_map_macs(14 * 14, 14 * 14, 32)
     report(
         "criterion 7 PASS: counted attention MACs grow x4.00 grouped (G=7) vs "
         f"x16.00 full when S doubles ({g14}->{g28}, {full14}->{full28}); "

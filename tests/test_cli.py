@@ -30,12 +30,16 @@ def stage_sections(first_kernels: str) -> str:
         for n in (1, 2, 3, 4))
 
 
-def test_module_entry_point_lists_the_commands():
-    """`python -m xfmr.cli` in a fresh interpreter, as the console script runs it."""
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m xfmr.cli ARGV` in a fresh interpreter, as the console script runs it."""
     src = str(Path(xfmr.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-m", "xfmr.cli", "--help"], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-m", "xfmr.cli", *argv], capture_output=True, text=True,
                           env=env, timeout=120)
+
+
+def test_module_entry_point_lists_the_commands():
+    done = run_module("--help")
     assert done.returncode == 0, done.stderr
     commands = re.search(r"\{(.*?)\}", done.stdout).group(1).split(",")
     assert commands == "variants count forward gradcheck train-toy bake-dpb emit-config".split()
@@ -377,6 +381,23 @@ class TestExitCodes:
         assert out.err.splitlines()[-1] == line
         assert "Traceback" not in out.err
 
+    @pytest.mark.parametrize("command", ["emit-config", "count"])
+    @pytest.mark.parametrize("line, allowed", [
+        ("variant = smol", "tiny, small, base, large, t, s, b, l or toy"),
+        ("variant = TOY", "tiny, small, base, large, t, s, b, l or toy"),
+        ("task = segmentation", "classification or dense"),
+        ("bias = nope", "ape, rpb, dpb or dpb-res"),
+        ("attention = full", "lsda, sda-only or pvt-like"),
+        ("cel = three", "cross, two or single"),
+    ], ids=["variant", "variant-case", "task", "bias", "attention", "cel"])
+    def test_unknown_choice_in_config_is_2(self, capsys, tmp_path, command, line, allowed):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{line}\n")
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {line} must be {allowed}"]
+
     def test_emit_config_roundtrip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "emit-config", "--variant", "small", "--bias", "rpb")
         assert code == 0
@@ -384,3 +405,28 @@ class TestExitCodes:
 
         cfg = parse_config(out)
         assert cfg.variant == "small" and cfg.bias == "rpb"
+
+
+class TestEmitConfig:
+    @pytest.mark.parametrize("argv, field, value", [
+        (("--variant", "small"), "variant", "small"),
+        (("--task", "dense"), "task", "dense"),
+        (("--bias", "rpb"), "bias", "rpb"),
+        (("--attn", "sda-only"), "attention", "sda-only"),
+        (("--cel", "two"), "cel", "two"),
+        (("--seed", "7"), "seed", 7),
+        (("--size", "192", "256"), "input_size", (192, 256)),
+    ], ids=["variant", "task", "bias", "attn", "cel", "seed", "size"])
+    def test_each_config_flag_sets_its_field(self, capsys, argv, field, value):
+        from xfmr import RunConfig, parse_config
+
+        code, out, _ = run(capsys, "emit-config", *argv)
+        assert code == 0
+        assert parse_config(out) == RunConfig(**{field: value})
+
+    def test_emit_config_subprocess_output_parses_back(self):
+        from xfmr import RunConfig, parse_config
+
+        done = run_module("emit-config", "--attn", "sda-only", "--size", "192", "256")
+        assert done.returncode == 0, done.stderr
+        assert parse_config(done.stdout) == RunConfig(attention="sda-only", input_size=(192, 256))

@@ -1,11 +1,40 @@
+from dataclasses import fields, replace
+
 import pytest
 
 from xfmr import CelSpec, ConfigError, RunConfig, StageSpec, emit_config, parse_config, to_model_spec
+from xfmr.checkpoint import read_checkpoint
+from xfmr.config import TOY_TRAINING
+
+
+FOUR_STAGES = tuple(
+    StageSpec(cel=CelSpec((4, 8) if i == 0 else (2, 4), 4 if i == 0 else 2, 16 * 2 ** i), dim=16 * 2 ** i,
+              heads=2 ** i, group_size=2, interval=2 if i < 2 else 1, blocks=1 + i % 2)
+    for i in range(4)
+)
+
+DEFAULT_TEXT = """\
+variant = toy
+task = classification
+bias = dpb
+attention = lsda
+cel = cross
+seed = 0
+dtype = f32
+steps = 500
+batch = 32
+samples = 32
+lr = 0.001
+weight_decay = 0.05
+warmup = 0
+drop_path = auto
+"""
 
 
 def test_emit_parse_roundtrip_default():
     cfg = RunConfig()
-    assert parse_config(emit_config(cfg)) == cfg
+    assert emit_config(cfg) == DEFAULT_TEXT
+    assert parse_config(DEFAULT_TEXT) == cfg
 
 
 def test_emit_parse_roundtrip_custom():
@@ -31,15 +60,17 @@ def test_emit_parse_roundtrip_custom():
 
 
 def test_roundtrip_with_stage_sections():
-    stages = tuple(
-        StageSpec(cel=CelSpec((4, 8) if i == 0 else (2, 4), 4 if i == 0 else 2, 16 * 2 ** i),
-                  dim=16 * 2 ** i, heads=2 ** i, group_size=2, interval=2, blocks=1)
-        for i in range(4)
-    )
-    cfg = RunConfig(stages=stages, input_size=(64, 64), classes=4)
-    text = emit_config(cfg)
-    assert "[stage.1]" in text and "kernels = 4, 8" in text
-    assert parse_config(text) == cfg
+    cfg = RunConfig(stages=FOUR_STAGES, input_size=(96, 128), classes=4, drop_path=0.15)
+    stage = ("[stage.{n}]\nkernels = {k}\nstride = {s}\ndim = {d}\nheads = {h}\ngroup = 2\n"
+             "interval = {i}\nblocks = {b}\n")
+    expected = (DEFAULT_TEXT.replace("cel = cross\n", "cel = cross\ninput_size = 96 128\nclasses = 4\n")
+                .replace("drop_path = auto\n", "drop_path = 0.15\n")
+                + stage.format(n=1, k="4, 8", s=4, d=16, h=1, i=2, b=1)
+                + stage.format(n=2, k="2, 4", s=2, d=32, h=2, i=2, b=2)
+                + stage.format(n=3, k="2, 4", s=2, d=64, h=4, i=1, b=1)
+                + stage.format(n=4, k="2, 4", s=2, d=128, h=8, i=1, b=2))
+    assert emit_config(cfg) == expected
+    assert parse_config(expected) == cfg
     spec = to_model_spec(cfg)
     assert [s.dim for s in spec.stages] == [16, 32, 64, 128]
 
@@ -115,3 +146,64 @@ def test_reference_hyperparameter_defaults():
     cfg = RunConfig()
     assert cfg.lr == 1e-3
     assert cfg.weight_decay == 0.05
+
+
+def test_config_text_train_toy_records(toy_training_run):
+    """`train-toy --seed 0 --steps 500` on the toy recipe stores exactly this text."""
+    text = DEFAULT_TEXT.replace("cel = cross\n", "cel = cross\nclasses = 4\n")
+    text = text.replace("lr = 0.001\nweight_decay = 0.05\nwarmup = 0\ndrop_path = auto\n",
+                        "lr = 0.01\nweight_decay = 0.01\nwarmup = 20\ndrop_path = 0.0\n")
+    assert emit_config(replace(RunConfig(), **TOY_TRAINING)) == text
+    assert read_checkpoint(toy_training_run[2])[1] == text
+
+
+# one value unlike the default for every RunConfig field; a new field must be
+# added here, and then the emitter and the parser must carry it
+NON_DEFAULT = {
+    "variant": "small", "task": "dense", "bias": "rpb", "attention": "sda-only", "cel": "two",
+    "input_size": (192, 256), "classes": 21, "seed": 9, "dtype": "f64", "steps": 77, "batch": 8,
+    "samples": 24, "lr": 0.1 + 0.2, "weight_decay": 1e-300, "warmup": 10, "drop_path": 0.15,
+    "stages": FOUR_STAGES,
+}
+
+
+def test_every_set_field_is_written_once_in_field_order():
+    names = [f.name for f in fields(RunConfig)]
+    assert sorted(NON_DEFAULT) == sorted(names)
+    cfg = RunConfig(**NON_DEFAULT)
+    text = emit_config(cfg)
+    top = text.split("[stage.", 1)[0]
+    assert [line.split(" = ", 1)[0] for line in top.splitlines()] == [n for n in names if n != "stages"]
+    assert text.count("[stage.") == 4
+    assert parse_config(text) == cfg
+    for name, value in NON_DEFAULT.items():
+        one = replace(RunConfig(), **{name: value})
+        assert parse_config(emit_config(one)) == one, name
+
+
+STAGES_TEXT = "".join(
+    f"[stage.{n}]\nkernels = 2\nstride = 2\ndim = {8 * 2 ** n}\nheads = 1\ngroup = 2\ninterval = 1\nblocks = 1\n"
+    for n in (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("text, lineno, key", [
+    ("variant = toy\ninput_size = 64\n", 2, "input_size"),
+    ("classes = four\n", 1, "classes"),
+    ("seed = 1.5\n", 1, "seed"),
+    ("# the rate\nlr = fast\n", 2, "lr"),
+    ("input_size = 64 64\n" + STAGES_TEXT.replace("dim = 32", "dim = x"), 13, "dim"),
+    ("input_size = 64 64\n" + STAGES_TEXT.replace("blocks = 1\n[stage.3]", "width = 4\n[stage.3]"), 17,
+     "width"),
+], ids=["input-size", "classes", "seed", "lr", "stage-dim", "unknown-stage-key"])
+def test_malformed_line_is_one_error_naming_line_and_key(text, lineno, key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    message = str(exc.value)
+    assert "\n" not in message
+    assert message.startswith(f"line {lineno}: ") and key in message
+
+
+@pytest.mark.parametrize("variant", ["toy", "tiny", "Tiny", "T", "large", "l"])
+def test_variant_names_and_aliases_accepted(variant):
+    """`RunConfig` takes exactly the variants `to_model_spec` can build."""
+    assert len(to_model_spec(RunConfig(variant=variant)).stages) == 4
