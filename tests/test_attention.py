@@ -8,13 +8,14 @@ from xfmr import (
     DynamicPositionBias,
     GroupedAttention,
     Tensor,
+    attend_tokens,
     build_layout,
     grad_check,
     group,
     no_grad,
     ungroup,
 )
-from xfmr.attention import PooledFullAttention
+from xfmr.attention import PooledFullAttention, key_padding_logits
 
 from oracles import masked_full_attention, walk_layout
 
@@ -244,6 +245,34 @@ class TestGroupedAttention:
             max_entries_per_tensor=6,
         )
         assert rep.passed, rep.summary()
+
+
+class TestComplexityScaling:
+    def _attention_map_macs(self, side, group_size):
+        lay = build_layout("sda", side, side, group_size)
+        dim, heads = 16, 2
+        r = np.random.default_rng(0)
+        x = Tensor(r.standard_normal((1, side, side, dim)).astype(np.float32))
+        attn = GroupedAttention(r, dim, heads, None, dtype=np.float32)
+        with no_grad():
+            q, k, v = attn.qkv(group(x, lay))
+            with T.count_macs() as counter:
+                attend_tokens(q, k, v, key_logits=key_padding_logits(lay, np.float32))
+        return counter.macs
+
+    def test_grouped_cost_quadratic_full_cost_quartic(self):
+        g7_s14 = self._attention_map_macs(14, 7)
+        g7_s28 = self._attention_map_macs(28, 7)
+        full_s14 = self._attention_map_macs(14, 14)
+        full_s28 = self._attention_map_macs(28, 28)
+        assert g7_s28 == 4 * g7_s14
+        assert full_s28 == 16 * full_s14
+
+    def test_group_equals_grid_collapses_to_full(self):
+        # one group of all 196 slots: scores and mixing each take 196 * 196 * 16 MACs
+        assert self._attention_map_macs(14, 14) == 2 * 196 * 196 * 16
+        lay_full = build_layout("sda", 14, 14, 14)
+        assert lay_full.n_groups == 1
 
 
 class TestPooledFullAttention:
