@@ -11,10 +11,10 @@ reproducible. Attention costs use the padded token counts actually executed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bias import dpb_hidden_width
-from .model import MLP_RATIO, PVT_REDUCTIONS, ModelSpec
+from .model import MLP_RATIO, PVT_REDUCTIONS, ModelSpec, build_variant
 
 __all__ = [
     "CostReport",
@@ -193,29 +193,24 @@ class TargetCheck:
                 f"(tol {100 * self.tolerance:.1f}%)  {status}")
 
 
-def check_against_targets(spec: ModelSpec, variant: str | None, cel_mode: str = "cross") -> list[TargetCheck]:
-    """Compare a spec's counts with whatever embedded budgets apply to it."""
-    checks: list[TargetCheck] = []
-    if variant is None:
-        return checks
-    params = count_params(spec).total
-    macs = count_flops(spec).total
-    if spec.attention_mode != "lsda" or spec.classes != 1000 or spec.input_size != (224, 224):
-        return checks
-    if variant == "small" and cel_mode in CEL_TARGETS and cel_mode != "cross" and spec.bias_kind == "dpb":
-        pt, ft = CEL_TARGETS[cel_mode]
-        checks.append(TargetCheck(f"small/{cel_mode} params", params, pt, PARAM_TOLERANCE))
-        checks.append(TargetCheck(f"small/{cel_mode} macs", macs, ft, FLOP_TOLERANCE))
-        return checks
-    if cel_mode != "cross":
-        return checks
-    if spec.bias_kind == "dpb":
-        if variant in PARAM_TARGETS:
-            checks.append(TargetCheck(f"{variant} params", params, PARAM_TARGETS[variant], PARAM_TOLERANCE))
-            checks.append(TargetCheck(f"{variant} macs", macs, FLOP_TARGETS[variant], FLOP_TOLERANCE))
-    if variant == "small" and spec.bias_kind in POSITION_PARAM_TARGETS:
-        checks.append(TargetCheck(
-            f"small/{spec.bias_kind} params", params,
-            POSITION_PARAM_TARGETS[spec.bias_kind], POSITION_TOLERANCE,
-        ))
+def check_against_targets(spec: ModelSpec) -> list[TargetCheck]:
+    """The reference budgets of the paper's row that ``spec`` is, stochastic
+    depth aside: a named variant, an embedding-layer ablation of small or a
+    position-bias row of small. Any other spec has none."""
+
+    def is_row(row: ModelSpec) -> bool:
+        return replace(spec, drop_path_max=row.drop_path_max) == row
+
+    params, macs = count_params(spec).total, count_flops(spec).total
+    headline = {v: (build_variant(v), PARAM_TARGETS[v], FLOP_TARGETS[v]) for v in PARAM_TARGETS}
+    headline |= {f"small/{mode}": (build_variant("small", cel_mode=mode), *targets)
+                 for mode, targets in CEL_TARGETS.items() if mode != "cross"}
+    checks = []
+    for label, (row, pt, ft) in headline.items():
+        if is_row(row):
+            checks += [TargetCheck(f"{label} params", params, pt, PARAM_TOLERANCE),
+                       TargetCheck(f"{label} macs", macs, ft, FLOP_TOLERANCE)]
+    for bias, target in POSITION_PARAM_TARGETS.items():
+        if is_row(replace(build_variant("small"), bias_kind=bias)):
+            checks.append(TargetCheck(f"small/{bias} params", params, target, POSITION_TOLERANCE))
     return checks

@@ -113,8 +113,7 @@ def cmd_count(args) -> int:
     if args.csv:
         print("\n" + params.table_csv())
         print("\n" + macs.table_csv())
-    variant = canonical_variant(cfg.variant) if cfg.variant != "toy" else None
-    checks = check_against_targets(spec, variant, cfg.cel)
+    checks = check_against_targets(spec)
     failed = False
     if checks:
         print("\nreference budgets")
@@ -231,9 +230,9 @@ def cmd_bake_dpb(args) -> int:
     with T.no_grad():
         live = model(x).data.copy()
 
-    for blocks, layouts in zip(model.stages, spec.block_plan()):
-        for block, layout in zip(blocks, layouts):
-            block.attn.bias = bake_to_table(block.attn.bias, *layout.slots)
+    for blocks in model.stages:
+        for block in blocks:
+            block.attn.bias = bake_to_table(block.attn.bias, *block.layout.slots)
     with T.no_grad():
         frozen = model(x).data.copy()
     diff = float(np.abs(live - frozen).max())

@@ -1,10 +1,11 @@
 """Line-oriented run configuration files.
 
 Format: `key = value` pairs, `#` comments, optional `[stage.N]` sections
-(N in 1..4). The top-level keys and their order in the file are `RunConfig`'s
-fields; `emit_config` leaves out an unset `input_size` or `classes` and writes
-an unset `drop_path` as `auto`. Emitting and re-parsing a config yields an
-equal config.
+(N in 1..4); a key appears at most once per section, a section at most once.
+The top-level keys and their order in the file are `RunConfig`'s fields;
+`emit_config` leaves out an unset `input_size` or `classes` and writes an
+unset `drop_path` as `auto`. Emitting and re-parsing a config yields an equal
+config.
 
 Which fields apply depends on where the stages come from:
 - a named variant (tiny, small, base, large or t, s, b, l) reads `task`
@@ -90,6 +91,7 @@ TOY_TRAINING = {"classes": 4, "lr": 1e-2, "weight_decay": 0.01, "warmup": 20, "d
 def parse_config(text: str) -> RunConfig:
     values: dict = {}
     stage_values: dict[int, dict] = {}
+    headers: dict[int, int] = {}  # stage number -> line of its section header
     section: int | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -105,7 +107,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {lineno}: bad stage number in {name!r}") from None
             if section not in (1, 2, 3, 4):
                 raise ConfigError(f"line {lineno}: stage number must be 1..4")
-            stage_values.setdefault(section, {})
+            if section in headers:
+                raise ConfigError(f"line {lineno}: repeated section [stage.{section}]")
+            stage_values[section], headers[section] = {}, lineno
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
@@ -113,6 +117,8 @@ def parse_config(text: str) -> RunConfig:
         keys, into = (_KEYS, values) if section is None else (_STAGE_KEYS, stage_values[section])
         if key not in keys:
             raise ConfigError(f"line {lineno}: unknown {'' if section is None else 'stage '}key {key!r}")
+        if key in into:
+            raise ConfigError(f"line {lineno}: repeated {'' if section is None else 'stage '}key {key!r}")
         try:
             into[key] = _decode(key, value)
         except ValueError:
@@ -126,9 +132,11 @@ def parse_config(text: str) -> RunConfig:
             missing = set(_STAGE_KEYS) - set(sv)
             if missing:
                 raise ConfigError(f"[stage.{n}] missing keys: {sorted(missing)}")
-            stages.append(StageSpec(cel=CelSpec(sv["kernels"], sv["stride"], sv["dim"]), dim=sv["dim"],
-                                    heads=sv["heads"], group_size=sv["group"], interval=sv["interval"],
-                                    blocks=sv["blocks"]))
+            try:
+                stages.append(StageSpec(cel=CelSpec(sv["kernels"], sv["stride"], sv["dim"]), heads=sv["heads"],
+                                        group_size=sv["group"], interval=sv["interval"], blocks=sv["blocks"]))
+            except ConfigError as exc:
+                raise ConfigError(f"[stage.{n}] at line {headers[n]}: {exc}") from None
         values["stages"] = tuple(stages)
     return RunConfig(**values)
 

@@ -53,24 +53,18 @@ class CelSpec:
     kernel_sizes: tuple[int, ...]
     stride: int
     dim: int
-    per_kernel_dims: tuple[int, ...] = field(default=())
+    per_kernel_dims: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
-        dims = self.per_kernel_dims
-        if not dims:
-            # the halving rule applies in ascending kernel-size order, mapped
-            # back onto the positions the kernels were given in
-            order = np.argsort(self.kernel_sizes, kind="stable")
-            alloc = allocate_dims(self.dim, len(self.kernel_sizes))
-            dims = [0] * len(self.kernel_sizes)
-            for rank, pos in enumerate(order):
-                dims[int(pos)] = alloc[rank]
+        # the halving rule applies in ascending kernel-size order, mapped back
+        # onto the positions the kernels were given in
+        order = np.argsort(self.kernel_sizes, kind="stable")
+        alloc = allocate_dims(self.dim, len(self.kernel_sizes))
+        dims = [0] * len(self.kernel_sizes)
+        for rank, pos in enumerate(order):
+            dims[int(pos)] = alloc[rank]
         object.__setattr__(self, "per_kernel_dims", tuple(dims))
-        if sum(self.per_kernel_dims) != self.dim:
-            raise ConfigError("per-kernel dims must sum to the total dim")
-        if len(self.per_kernel_dims) != len(self.kernel_sizes):
-            raise ConfigError("one dim per kernel required")
         if self.stride < 1 or any(k < 1 for k in self.kernel_sizes):
             raise ConfigError("kernel and stride must be positive")
         for k in self.kernel_sizes:

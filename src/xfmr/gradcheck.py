@@ -60,25 +60,20 @@ class GradCheckReport:
 
 def grad_check(
     f: Callable[[], Tensor],
-    inputs: Sequence[tuple[str, Tensor]] | Sequence[Tensor],
+    inputs: Sequence[tuple[str, Tensor]],
     tol: float = 1e-5,
-    step: float = DEFAULT_STEP,
     max_entries_per_tensor: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
-    """Check d f / d input for every (or a sampled subset of) coordinate.
+    """Check d f / d input for every (or a sampled subset of) coordinate of
+    each named input, with central differences of step ``DEFAULT_STEP``.
 
     ``f`` must rebuild its forward pass on every call (it is re-evaluated
     under perturbed inputs). Inputs must be float64; 32-bit precision is
     too coarse for central differences to be meaningful.
     """
-    named: list[tuple[str, Tensor]] = []
-    for i, item in enumerate(inputs):
-        if isinstance(item, Tensor):
-            named.append((f"input{i}", item))
-        else:
-            named.append(item)
-    for name, t in named:
+    inputs = list(inputs)  # walked twice; `named_parameters()` is a generator
+    for name, t in inputs:
         if t.data.dtype != np.float64:
             raise GradCheckError(f"{name}: grad_check requires float64 inputs")
         t.requires_grad = True
@@ -93,7 +88,7 @@ def grad_check(
     report = GradCheckReport(tol=tol)
     entries: list[EntryReport] = []
 
-    for name, t in named:
+    for name, t in inputs:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         # Noise floor: coordinates far below the tensor's gradient scale are
         # compared against this scale rather than their own magnitude.
@@ -107,14 +102,14 @@ def grad_check(
         worst_for_tensor = 0.0
         for fid in flat_ids:
             orig = flat[fid]
-            flat[fid] = orig + step
+            flat[fid] = orig + DEFAULT_STEP
             hi = float(f().data)
-            flat[fid] = orig - step
+            flat[fid] = orig - DEFAULT_STEP
             lo = float(f().data)
             flat[fid] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise GradCheckError(f"{name}: non-finite output during perturbation")
-            numeric = (hi - lo) / (2 * step)
+            numeric = (hi - lo) / (2 * DEFAULT_STEP)
             a = float(analytic.reshape(-1)[fid])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), floor)
             worst_for_tensor = max(worst_for_tensor, rel)

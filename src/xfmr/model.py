@@ -45,15 +45,17 @@ ATTENTION_MODES = ("lsda", "sda-only", "pvt-like")
 @dataclass(frozen=True)
 class StageSpec:
     cel: CelSpec
-    dim: int
     heads: int
     group_size: int
     interval: int
     blocks: int
 
+    @property
+    def dim(self) -> int:
+        """The stage's width: its embedding layer's output channels."""
+        return self.cel.dim
+
     def __post_init__(self):
-        if self.dim != self.cel.dim:
-            raise ConfigError("stage dim must equal its embedding layer dim")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         dpb_hidden_width(self.dim)
@@ -153,7 +155,6 @@ def _stages(cel_mode: str, dims, heads, groups, intervals, depths) -> tuple[Stag
     return tuple(
         StageSpec(
             cel=CelSpec(first if s == 0 else later, 4 if s == 0 else 2, dims[s]),
-            dim=dims[s],
             heads=heads[s],
             group_size=groups[s],
             interval=intervals[s],
@@ -163,48 +164,34 @@ def _stages(cel_mode: str, dims, heads, groups, intervals, depths) -> tuple[Stag
     )
 
 
-def build_variant(
-    name: str,
-    task: str = "classification",
-    classes: int = 1000,
-    bias_kind: str = "dpb",
-    attention_mode: str = "lsda",
-    cel_mode: str = "cross",
-    input_size: tuple[int, int] | None = None,
-) -> ModelSpec:
+def build_variant(name: str, task: str = "classification", cel_mode: str = "cross") -> ModelSpec:
+    """The stages of a named variant with ``task``'s grouping and ``cel_mode``'s
+    embedding kernels, at the task's input size and with the variant's
+    stochastic-depth maximum. Every other field keeps its `ModelSpec` default;
+    an ablation sets it with ``dataclasses.replace``."""
     key = canonical_variant(name)
     if key not in _VARIANTS:
         raise ConfigError(f"unknown variant {name!r} (expected one of {VARIANT_NAMES})")
     if task not in _TASK_GROUPING:
         raise ConfigError(f"unknown task {task!r}")
     dims, heads, depths, drop_path = _VARIANTS[key]
-    groups, intervals, default_size = _TASK_GROUPING[task]
+    groups, intervals, input_size = _TASK_GROUPING[task]
     return ModelSpec(
         stages=_stages(cel_mode, dims, heads, groups, intervals, depths),
-        classes=classes,
-        bias_kind=bias_kind,
-        attention_mode=attention_mode,
-        input_size=input_size or default_size,
+        input_size=input_size,
         drop_path_max=drop_path,
     )
 
 
-def toy_spec(
-    classes: int = 10,
-    bias_kind: str = "dpb",
-    attention_mode: str = "lsda",
-    drop_path_max: float = 0.0,
-) -> ModelSpec:
-    """Smallest configuration that still exercises both grouping modes:
-    64x64 input, grids 16/8/4/2, dims 16/32/64/128."""
+def toy_spec() -> ModelSpec:
+    """Stages of the smallest configuration that still exercises both grouping
+    modes: 64x64 input, grids 16/8/4/2, dims 16/32/64/128, 10 classes. An
+    ablation sets any other field with ``dataclasses.replace``."""
     return ModelSpec(
         stages=_stages("two", dims=(16, 32, 64, 128), heads=(1, 2, 4, 8), groups=(2, 2, 2, 2),
                        intervals=(2, 2, 1, 1), depths=(1, 1, 2, 1)),
-        classes=classes,
-        bias_kind=bias_kind,
-        attention_mode=attention_mode,
+        classes=10,
         input_size=(64, 64),
-        drop_path_max=drop_path_max,
     )
 
 

@@ -7,6 +7,7 @@ measured value so the run doubles as a report (run with -s to see them).
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_02_flop_counts_match_reference():
 def test_03_position_mode_counts_and_ordering():
     totals = {}
     for bias in ("ape", "rpb", "dpb"):
-        totals[bias] = count_params(build_variant("small", bias_kind=bias)).total
+        totals[bias] = count_params(replace(build_variant("small"), bias_kind=bias)).total
         target = POSITION_PARAM_TARGETS[bias]
         err = abs(totals[bias] - target) / target
         assert err <= 0.015, f"{bias}: {totals[bias]} vs {target}"
@@ -138,7 +139,7 @@ def test_06_bias_table_and_bake_equivalence():
             dpb.table(g, g)
         assert dpb.eval_count == (2 * g - 1) ** 2
     # (c) baked model forward matches live forward
-    spec = toy_spec(classes=4)
+    spec = replace(toy_spec(), classes=4)
     model = build_model(spec, seed=3)
     x = Tensor(np.random.default_rng(5).standard_normal((2, 64, 64, 3)).astype(np.float32))
     with no_grad():
@@ -197,7 +198,7 @@ def test_07_complexity_scaling_quadratic_vs_quartic():
 
 def test_08_full_toy_model_gradient_check():
     start = time.time()
-    spec = toy_spec(classes=4)
+    spec = replace(toy_spec(), classes=4)
     model = build_model(spec, seed=0, dtype=np.float64)
     rng = np.random.default_rng(0)
     # generic parameter point: fresh zero biases put the offset-(0,0) bias
@@ -241,13 +242,13 @@ def test_09_toy_training_reaches_full_accuracy(toy_training_run):
 
 
 def test_10_size_flexibility_dpb_vs_rpb():
-    spec = toy_spec(classes=4, bias_kind="dpb")
+    spec = replace(toy_spec(), classes=4, bias_kind="dpb")
     model = build_model(spec, seed=0)
     for side in (32, 64, 96):
         with no_grad():
             out = model(Tensor(np.zeros((1, side, side, 3), dtype=np.float32)))
         assert out.shape == (1, 4)
-    rpb = build_model(toy_spec(classes=4, bias_kind="rpb"), seed=0)
+    rpb = build_model(replace(toy_spec(), classes=4, bias_kind="rpb"), seed=0)
     with no_grad():
         rpb(Tensor(np.zeros((1, 64, 64, 3), dtype=np.float32)))
     with pytest.raises(BiasRangeError, match="bias table only covers"):
@@ -261,7 +262,7 @@ def test_10_size_flexibility_dpb_vs_rpb():
 
 def test_10b_small_variant_flexibility_at_full_scale():
     # the headline case: one 224-built model evaluated at three input sizes
-    spec = build_variant("small", classes=10)
+    spec = replace(build_variant("small"), classes=10)
     model = build_model(spec, seed=0)
     for side in (192, 224, 256):
         with no_grad():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,17 +33,17 @@ class TestParamCounting:
 
     @pytest.mark.parametrize("bias", ["dpb", "dpb-res", "rpb", "ape"])
     def test_matches_instantiated_weights_exactly(self, bias):
-        spec = toy_spec(classes=4, bias_kind=bias)
+        spec = replace(toy_spec(), classes=4, bias_kind=bias)
         model = build_model(spec, seed=0)
         assert count_params(spec).total == model.param_count()
 
     def test_matches_instantiated_pvt_like(self):
-        spec = toy_spec(classes=4, attention_mode="pvt-like")
+        spec = replace(toy_spec(), classes=4, attention_mode="pvt-like")
         model = build_model(spec, seed=0)
         assert count_params(spec).total == model.param_count()
 
     def test_matches_instantiated_sda_only(self):
-        spec = toy_spec(classes=4, attention_mode="sda-only")
+        spec = replace(toy_spec(), classes=4, attention_mode="sda-only")
         model = build_model(spec, seed=0)
         assert count_params(spec).total == model.param_count()
 
@@ -54,7 +56,7 @@ class TestParamCounting:
 
 class TestFlopCounting:
     def test_matches_executed_macs_exactly(self):
-        spec = toy_spec(classes=4)
+        spec = replace(toy_spec(), classes=4)
         model = build_model(spec, seed=0)
         x = Tensor(np.zeros((1, 64, 64, 3), dtype=np.float32))
         with count_macs() as counter:
@@ -63,7 +65,7 @@ class TestFlopCounting:
         assert counter.macs == count_flops(spec).total
 
     def test_matches_executed_macs_padded_grids(self):
-        spec = toy_spec(classes=4)
+        spec = replace(toy_spec(), classes=4)
         model = build_model(spec, seed=0)
         # 96^2 input makes stage-4 grid 3x3, exercising padded attention
         x = Tensor(np.zeros((1, 96, 96, 3), dtype=np.float32))
@@ -73,7 +75,7 @@ class TestFlopCounting:
         assert counter.macs == count_flops(spec, input_size=(96, 96)).total
 
     def test_matches_executed_rpb(self):
-        spec = toy_spec(classes=4, bias_kind="rpb")
+        spec = replace(toy_spec(), classes=4, bias_kind="rpb")
         model = build_model(spec, seed=0)
         with count_macs() as counter:
             with no_grad():
@@ -81,7 +83,7 @@ class TestFlopCounting:
         assert counter.macs == count_flops(spec).total
 
     def test_matches_executed_pvt_like(self):
-        spec = toy_spec(classes=4, attention_mode="pvt-like")
+        spec = replace(toy_spec(), classes=4, attention_mode="pvt-like")
         model = build_model(spec, seed=0)
         with count_macs() as counter:
             with no_grad():
@@ -95,7 +97,7 @@ class TestFlopCounting:
 
     def test_attention_macs_quadruple_when_side_doubles(self):
         # fixed group extent: every attention term is linear in token count
-        spec = build_variant("small", attention_mode="sda-only")
+        spec = replace(build_variant("small"), attention_mode="sda-only")
         a = count_flops(spec, input_size=(224, 224)).entries["stage1.attention"]
         b = count_flops(spec, input_size=(448, 448)).entries["stage1.attention"]
         assert b == 4 * a
@@ -122,7 +124,7 @@ class TestReferenceBudgets:
     def test_position_modes_within_tolerance_and_ordered(self):
         totals = {}
         for bias in ("ape", "rpb", "dpb"):
-            totals[bias] = count_params(build_variant("small", bias_kind=bias)).total
+            totals[bias] = count_params(replace(build_variant("small"), bias_kind=bias)).total
             target = POSITION_PARAM_TARGETS[bias]
             assert abs(totals[bias] - target) / target <= 0.015, bias
         assert totals["ape"] > totals["dpb"] > totals["rpb"]
@@ -136,7 +138,7 @@ class TestReferenceBudgets:
             assert abs(f - f_target) / f_target <= 0.10, mode
 
     def test_check_helper_reports_pass(self):
-        checks = check_against_targets(build_variant("small"), "small")
+        checks = check_against_targets(build_variant("small"))
         assert checks and all(c.passed for c in checks)
         assert any("params" in c.label for c in checks)
 

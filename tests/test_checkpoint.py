@@ -1,6 +1,7 @@
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def test_truncated_file_rejected(tmp_path):
 def test_model_weights_roundtrip(tmp_path):
     from xfmr import build_model, toy_spec
 
-    model = build_model(toy_spec(classes=4), seed=3)
+    model = build_model(replace(toy_spec(), classes=4), seed=3)
     entries = {name: p.data for name, p in model.named_parameters()}
     path = tmp_path / "toy.xfmr"
     save_checkpoint(path, entries)

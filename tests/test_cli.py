@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,28 @@ class TestCount:
         assert out.splitlines()[0] == ("configuration: stages from the config bias=dpb attn=lsda "
                                        "input=64x64")
 
+    def test_dense_grouping_at_224_has_no_budgets(self, capsys):
+        """The paper's budgets are for the classification grouping; small with
+        the dense grouping (G=14) at 224x224 is none of its rows."""
+        code, out, _ = run(capsys, "count", "--variant", "small", "--task", "dense", "--size", "224", "224")
+        assert code == 0
+        assert "reference budgets" not in out
+
+    def test_stages_spelling_out_small_get_its_budgets(self, capsys, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("input_size = 224 224\n" + "".join(
+            f"[stage.{n}]\nkernels = {'4, 8, 16, 32' if n == 1 else '2, 4'}\nstride = {4 if n == 1 else 2}\n"
+            f"dim = {48 * 2 ** n}\nheads = {3 * 2 ** (n - 1)}\ngroup = 7\ninterval = {2 ** (4 - n)}\n"
+            f"blocks = {6 if n == 3 else 2}\n"
+            for n in (1, 2, 3, 4)))
+        budgets = []
+        for argv in (("--config", str(cfg)), ("--variant", "small")):
+            code, out, _ = run(capsys, "count", *argv)
+            assert code == 0
+            budgets.append(out.split("\nreference budgets\n")[1])
+        assert budgets[0] == budgets[1]
+        assert budgets[0].splitlines()[0].startswith("small params")
+
 
 class TestForward:
     def test_toy_forward(self, capsys):
@@ -171,7 +194,7 @@ class TestTrainAndBake:
     def test_bake_rejects_non_dpb_checkpoint(self, capsys, tmp_path):
         from xfmr import build_model, save_checkpoint, toy_spec
 
-        model = build_model(toy_spec(classes=4, bias_kind="rpb"), seed=0)
+        model = build_model(replace(toy_spec(), classes=4, bias_kind="rpb"), seed=0)
         path = tmp_path / "rpb.xfmr"
         save_checkpoint(path, {n: p.data for n, p in model.named_parameters()})
         code, _, err = run(capsys, "bake-dpb", "--variant", "toy",
@@ -218,7 +241,7 @@ class TestTrainAndBake:
     def test_bake_v1_mismatch_names_shapes(self, capsys, tmp_path):
         from xfmr import build_model, save_checkpoint, toy_spec
 
-        model = build_model(toy_spec(classes=4), seed=0)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
         path = tmp_path / "v1.xfmr"
         save_checkpoint(path, {n: p.data for n, p in model.named_parameters()})
         code, _, err = run(capsys, "bake-dpb", "--variant", "toy",
@@ -291,7 +314,7 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            "error: kernel 2 smaller than stride 4: padding (k-s)/2 would be negative"]
+            "error: [stage.1] at line 3: kernel 2 smaller than stride 4: padding (k-s)/2 would be negative"]
 
     @pytest.mark.parametrize("argv, line", [
         (("count", "--variant", "toy", "--cel", "single"),

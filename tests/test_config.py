@@ -8,7 +8,7 @@ from xfmr.config import TOY_TRAINING
 
 
 FOUR_STAGES = tuple(
-    StageSpec(cel=CelSpec((4, 8) if i == 0 else (2, 4), 4 if i == 0 else 2, 16 * 2 ** i), dim=16 * 2 ** i,
+    StageSpec(cel=CelSpec((4, 8) if i == 0 else (2, 4), 4 if i == 0 else 2, 16 * 2 ** i),
               heads=2 ** i, group_size=2, interval=2 if i < 2 else 1, blocks=1 + i % 2)
     for i in range(4)
 )
@@ -201,6 +201,26 @@ def test_malformed_line_is_one_error_naming_line_and_key(text, lineno, key):
     message = str(exc.value)
     assert "\n" not in message
     assert message.startswith(f"line {lineno}: ") and key in message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("variant = tiny\nseed = 1\nvariant = small\n", "line 3: repeated key 'variant'"),
+    ("input_size = 64 64\n" + STAGES_TEXT.replace("heads = 1\n", "heads = 1\nheads = 2\n", 1),
+     "line 7: repeated stage key 'heads'"),
+    ("input_size = 64 64\n" + STAGES_TEXT + "[stage.1]\nheads = 2\n",
+     "line 34: repeated section [stage.1]"),
+], ids=["top-level-key", "stage-key", "section"])
+def test_repeated_key_or_section_is_refused(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+
+
+def test_stage_spec_error_names_its_section_and_line():
+    text = "input_size = 64 64\n" + STAGES_TEXT.replace("[stage.2]\nkernels = 2\n", "[stage.2]\nkernels =\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == "[stage.2] at line 10: need at least one kernel"
 
 
 @pytest.mark.parametrize("variant", ["toy", "tiny", "Tiny", "T", "large", "l"])

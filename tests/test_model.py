@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -83,7 +85,7 @@ class TestVariantTables:
         a = toy_spec()
         b = ModelSpec(
             stages=tuple(
-                StageSpec(cel=s.cel, dim=s.dim, heads=s.heads,
+                StageSpec(cel=s.cel, heads=s.heads,
                           group_size=4, interval=1, blocks=s.blocks)
                 for s in a.stages
             ),
@@ -99,12 +101,12 @@ class TestVariantTables:
 
     def test_classification_and_dense_param_counts_match(self):
         cls = count_params(build_variant("t", task="classification")).total
-        dense_spec = build_variant("t", task="dense", input_size=(224, 224))
+        dense_spec = replace(build_variant("t", task="dense"), input_size=(224, 224))
         assert count_params(dense_spec).total == cls
 
     def test_pyramid_rule_enforced(self):
         stages = list(toy_spec().stages)
-        bad = StageSpec(cel=CelSpec((2, 4), 2, 24), dim=24, heads=2,
+        bad = StageSpec(cel=CelSpec((2, 4), 2, 24), heads=2,
                         group_size=2, interval=1, blocks=1)
         with pytest.raises(ConfigError):
             ModelSpec(stages=(stages[0], bad, stages[2], stages[3]))
@@ -112,7 +114,7 @@ class TestVariantTables:
 
 class TestForward:
     def test_toy_shape_chain(self):
-        spec = toy_spec(classes=4)
+        spec = replace(toy_spec(), classes=4)
         model = build_model(spec, seed=0)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 64, 64, 3)).astype(np.float32))
         with no_grad():
@@ -122,13 +124,13 @@ class TestForward:
         assert logits.shape == (2, 4)
 
     def test_single_image_rank3(self):
-        spec = toy_spec(classes=4)
+        spec = replace(toy_spec(), classes=4)
         model = build_model(spec, seed=0)
         out = model_forward(model, np.zeros((64, 64, 3), dtype=np.float32))
         assert out.shape == (4,)
 
     def test_identical_images_identical_logits(self):
-        model = build_model(toy_spec(classes=4), seed=0)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
         one = np.random.default_rng(1).standard_normal((1, 64, 64, 3)).astype(np.float32)
         batch = Tensor(np.repeat(one, 3, axis=0))
         with no_grad():
@@ -136,7 +138,7 @@ class TestForward:
         assert np.abs(logits - logits[0]).max() <= 1e-5
 
     def test_batch_permutation_equivariance(self):
-        model = build_model(toy_spec(classes=4), seed=0)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
         x = np.random.default_rng(2).standard_normal((4, 64, 64, 3)).astype(np.float32)
         perm = np.array([2, 0, 3, 1])
         with no_grad():
@@ -145,7 +147,7 @@ class TestForward:
         assert np.abs(a[perm] - b).max() <= 1e-6
 
     def test_zeroed_residual_branches_make_blocks_identity(self):
-        model = build_model(toy_spec(classes=4), seed=0)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
         for blocks in model.stages:
             for block in blocks:
                 block.attn.out_proj.w.data[:] = 0
@@ -161,30 +163,30 @@ class TestForward:
         assert np.abs(withblocks - celonly).max() <= 1e-6
 
     def test_blocks_alternate_sda_then_lda(self):
-        model = build_model(toy_spec(classes=4), seed=0)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
         modes = [b.mode for b in model.stages[2]]
         assert modes == ["sda", "lda"]
 
     def test_sda_only_mode(self):
-        model = build_model(toy_spec(classes=4, attention_mode="sda-only"), seed=0)
+        model = build_model(replace(toy_spec(), classes=4, attention_mode="sda-only"), seed=0)
         assert all(b.mode == "sda" for blocks in model.stages for b in blocks)
 
     def test_pvt_like_mode_runs(self):
-        model = build_model(toy_spec(classes=4, attention_mode="pvt-like"), seed=0)
+        model = build_model(replace(toy_spec(), classes=4, attention_mode="pvt-like"), seed=0)
         x = Tensor(np.random.default_rng(4).standard_normal((1, 64, 64, 3)).astype(np.float32))
         with no_grad():
             out = model(x)
         assert out.shape == (1, 4) and np.isfinite(out.data).all()
 
     def test_variable_input_sizes_with_dpb(self):
-        model = build_model(toy_spec(classes=4), seed=0)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
         for side in (32, 64, 96):
             x = Tensor(np.zeros((1, side, side, 3), dtype=np.float32))
             with no_grad():
                 assert model(x).shape == (1, 4)
 
     def test_forward_at_build_size_reuses_planned_layouts(self, monkeypatch):
-        model = build_model(toy_spec(classes=4), seed=0)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
         calls = []
         real = xfmr.model.build_layout
         monkeypatch.setattr(xfmr.model, "build_layout", lambda *args: calls.append(args) or real(*args))
@@ -195,7 +197,7 @@ class TestForward:
         assert len(calls) == sum(len(blocks) for blocks in model.stages)
 
     def test_ape_model_fixed_to_build_size(self):
-        model = build_model(toy_spec(classes=4, bias_kind="ape"), seed=0)
+        model = build_model(replace(toy_spec(), classes=4, bias_kind="ape"), seed=0)
         with no_grad():
             ok = model(Tensor(np.zeros((1, 64, 64, 3), dtype=np.float32)))
         assert ok.shape == (1, 4)
@@ -204,7 +206,7 @@ class TestForward:
                 model(Tensor(np.zeros((1, 96, 96, 3), dtype=np.float32)))
 
     def test_rpb_model_runs_at_build_size(self):
-        model = build_model(toy_spec(classes=4, bias_kind="rpb"), seed=0)
+        model = build_model(replace(toy_spec(), classes=4, bias_kind="rpb"), seed=0)
         with no_grad():
             out = model(Tensor(np.zeros((1, 64, 64, 3), dtype=np.float32)))
         assert np.isfinite(out.data).all()
@@ -265,7 +267,7 @@ class TestInit:
         assert (named["head.b"].data == 0).all()
 
     def test_drop_path_rates_interpolate(self):
-        spec = toy_spec(drop_path_max=0.3)
+        spec = replace(toy_spec(), drop_path_max=0.3)
         model = build_model(spec, seed=0)
         rates = [b.drop_rate for blocks in model.stages for b in blocks]
         assert rates[0] == 0.0
@@ -273,7 +275,7 @@ class TestInit:
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_drop_path_deterministic_per_seed(self):
-        spec = toy_spec(classes=4, drop_path_max=0.5)
+        spec = replace(toy_spec(), classes=4, drop_path_max=0.5)
         model = build_model(spec, seed=0)
         x = Tensor(np.random.default_rng(0).standard_normal((4, 64, 64, 3)).astype(np.float32))
         a = model(x, train=True, rng=np.random.default_rng(9)).data
@@ -285,7 +287,7 @@ class TestInit:
 
 class TestGradcheckFullBlock:
     def test_two_block_stage_gradcheck(self):
-        spec = toy_spec(classes=4)
+        spec = replace(toy_spec(), classes=4)
         model = build_model(spec, seed=1, dtype=np.float64)
         rng = np.random.default_rng(2)
         for p in model.parameters():  # generic point, off relu kinks

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestGradientLifetime:
         """Interior gradients are released as the pass reaches them, so the
         traced peak backward adds on top of the forward graph (f32 toy,
         batch 8) stays well below the graph's own footprint."""
-        model = build_model(toy_spec(classes=4), seed=0)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
         images, labels = synth_dataset(0, 8, 64, 4)
         x = Tensor(images.astype(np.float32))
         tracemalloc.start()
