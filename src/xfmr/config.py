@@ -133,10 +133,13 @@ def parse_config(text: str) -> RunConfig:
             if missing:
                 raise ConfigError(f"[stage.{n}] missing keys: {sorted(missing)}")
             try:
-                stages.append(StageSpec(cel=CelSpec(sv["kernels"], sv["stride"], sv["dim"]), heads=sv["heads"],
-                                        group_size=sv["group"], interval=sv["interval"], blocks=sv["blocks"]))
+                stage = StageSpec(cel=CelSpec(sv["kernels"], sv["stride"], sv["dim"]), heads=sv["heads"],
+                                  group_size=sv["group"], interval=sv["interval"], blocks=sv["blocks"])
+                if stages:
+                    stage.check_follows(stages[-1])
             except ConfigError as exc:
                 raise ConfigError(f"[stage.{n}] at line {headers[n]}: {exc}") from None
+            stages.append(stage)
         values["stages"] = tuple(stages)
     return RunConfig(**values)
 

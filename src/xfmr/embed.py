@@ -48,7 +48,8 @@ def allocate_dims(total_dim: int, n_kernels: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CelSpec:
-    """Kernel set, shared stride and channel allocation of one embedding layer."""
+    """Kernel set (kept in ascending order), shared stride and channel
+    allocation of one embedding layer."""
 
     kernel_sizes: tuple[int, ...]
     stride: int
@@ -56,15 +57,10 @@ class CelSpec:
     per_kernel_dims: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
-        # the halving rule applies in ascending kernel-size order, mapped back
-        # onto the positions the kernels were given in
-        order = np.argsort(self.kernel_sizes, kind="stable")
-        alloc = allocate_dims(self.dim, len(self.kernel_sizes))
-        dims = [0] * len(self.kernel_sizes)
-        for rank, pos in enumerate(order):
-            dims[int(pos)] = alloc[rank]
-        object.__setattr__(self, "per_kernel_dims", tuple(dims))
+        # ascending, the order the halving rule allocates in, so that equal
+        # layers are equal specs whatever order the kernels were given in
+        object.__setattr__(self, "kernel_sizes", tuple(sorted(self.kernel_sizes)))
+        object.__setattr__(self, "per_kernel_dims", tuple(allocate_dims(self.dim, len(self.kernel_sizes))))
         if self.stride < 1 or any(k < 1 for k in self.kernel_sizes):
             raise ConfigError("kernel and stride must be positive")
         for k in self.kernel_sizes:
@@ -99,10 +95,7 @@ class CrossScaleEmbedding(Module):
         self.in_channels = in_channels
         self.kernels = []
         self.biases = []
-        order = np.argsort(spec.kernel_sizes, kind="stable")
-        self._order = [int(i) for i in order]  # ascending kernel size
-        for i in self._order:
-            k, d = spec.kernel_sizes[i], spec.per_kernel_dims[i]
+        for k, d in zip(spec.kernel_sizes, spec.per_kernel_dims):
             self.kernels.append(Tensor(trunc_normal(rng, (k, k, in_channels, d), dtype=dtype), requires_grad=True))
             self.biases.append(Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
 
@@ -110,7 +103,6 @@ class CrossScaleEmbedding(Module):
         h, w = x.shape[-3], x.shape[-2]
         self.spec.output_grid(h, w)
         pieces = []
-        for i, kernel, bias in zip(self._order, self.kernels, self.biases):
-            k = self.spec.kernel_sizes[i]
+        for k, kernel, bias in zip(self.spec.kernel_sizes, self.kernels, self.biases):
             pieces.append(T.conv2d(x, kernel, bias, self.spec.stride, self.spec.padding_for(k)))
         return T.concat(pieces, axis=-1)

@@ -62,6 +62,11 @@ class StageSpec:
         if self.blocks < 1 or self.group_size < 1 or self.interval < 1:
             raise ConfigError("blocks, group size and interval must be positive")
 
+    def check_follows(self, prev: StageSpec) -> None:
+        """The rule between consecutive stages: each doubles the width."""
+        if self.dim != 2 * prev.dim:
+            raise ConfigError(f"dim {self.dim} must double the previous stage's dim {prev.dim}")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -76,8 +81,7 @@ class ModelSpec:
         if len(self.stages) != 4:
             raise ConfigError("exactly four stages expected")
         for a, b in zip(self.stages, self.stages[1:]):
-            if b.dim != 2 * a.dim:
-                raise ConfigError("each stage must double the embedding dim")
+            b.check_follows(a)
         if self.attention_mode not in ATTENTION_MODES:
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         if self.bias_kind not in BIAS_KINDS:

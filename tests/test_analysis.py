@@ -142,6 +142,14 @@ class TestReferenceBudgets:
         assert checks and all(c.passed for c in checks)
         assert any("params" in c.label for c in checks)
 
+    def test_kernel_order_does_not_hide_a_row(self):
+        small = build_variant("small")
+        first = small.stages[0]
+        cel = replace(first.cel, kernel_sizes=first.cel.kernel_sizes[::-1])
+        reordered = replace(small, stages=(replace(first, cel=cel), *small.stages[1:]))
+        assert reordered == small
+        assert [c.line() for c in check_against_targets(reordered)] == [c.line() for c in check_against_targets(small)]
+
     def test_report_tables_render(self):
         report = count_params(toy_spec())
         assert "total" in report.table_text()

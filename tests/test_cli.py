@@ -345,6 +345,16 @@ class TestExitCodes:
             assert out == ""
             assert err.splitlines() == [line]
 
+    @pytest.mark.parametrize("argv", [("emit-config",), ("count",), ("forward",), ("gradcheck",),
+                                      ("train-toy", "--steps", "1")], ids=lambda argv: argv[0])
+    def test_stage_dims_that_do_not_double_are_2(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "dims.cfg"
+        cfg.write_text("input_size = 64 64\nclasses = 4\n" + stage_sections("4, 8").replace("dim = 32\n", "dim = 48\n"))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: [stage.2] at line 11: dim 48 must double the previous stage's dim 16"]
+
     def test_emitted_toy_config_with_too_many_classes_is_2(self, capsys, tmp_path):
         code, text, _ = run(capsys, "emit-config", "--variant", "toy")
         assert code == 0 and "classes" not in text

@@ -223,6 +223,20 @@ def test_stage_spec_error_names_its_section_and_line():
     assert str(exc.value) == "[stage.2] at line 10: need at least one kernel"
 
 
+def test_stage_dims_that_do_not_double_are_refused_at_parse():
+    text = "input_size = 64 64\n" + STAGES_TEXT.replace("dim = 32\n", "dim = 48\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == "[stage.2] at line 10: dim 48 must double the previous stage's dim 16"
+
+
+def test_kernels_are_emitted_in_ascending_order():
+    text = "input_size = 64 64\n" + STAGES_TEXT.replace("[stage.1]\nkernels = 2\n", "[stage.1]\nkernels = 4, 2\n")
+    cfg = parse_config(text)
+    assert cfg.stages[0].cel.kernel_sizes == (2, 4)
+    assert "[stage.1]\nkernels = 2, 4\n" in emit_config(cfg)
+
+
 @pytest.mark.parametrize("variant", ["toy", "tiny", "Tiny", "T", "large", "l"])
 def test_variant_names_and_aliases_accepted(variant):
     """`RunConfig` takes exactly the variants `to_model_spec` can build."""

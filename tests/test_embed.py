@@ -59,10 +59,13 @@ class TestCelSpec:
 
     def test_unsorted_kernels_allocated_by_size(self):
         spec = CelSpec((8, 4), stride=4, dim=96)
-        # the smaller kernel still gets the larger share
+        # kept sorted; the smaller kernel still gets the larger share
+        assert spec.kernel_sizes == (4, 8)
         assert spec.per_kernel_dims == (48, 48)
         spec = CelSpec((32, 4, 16, 8), stride=4, dim=128)
-        assert spec.per_kernel_dims == (16, 64, 16, 32)
+        assert spec.kernel_sizes == (4, 8, 16, 32)
+        assert spec.per_kernel_dims == (64, 32, 16, 16)
+        assert spec == CelSpec((4, 8, 16, 32), stride=4, dim=128)
 
 
 def rng():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,7 +383,7 @@ class TestStandardLayers:
         out = T.relu(Tensor(np.array([-1.0, 2.0])))
         assert out.data.tolist() == [0.0, 2.0]
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float64])
     def test_gelu_bitwise_equal_to_formula(self, dtype):
         from scipy.special import erf
 
@@ -394,6 +396,58 @@ class TestStandardLayers:
         (out * Tensor(g)).sum().backward()
         assert out.data.dtype == dtype
         assert out.data.tobytes() == (x * phi).astype(dtype).tobytes()
+        assert t.grad.tobytes() == (g * (phi + x * dens)).tobytes()
+
+    def test_gelu_float32_accuracy(self):
+        from scipy.special import ndtr
+
+        x = np.linspace(-10, 10, 2_000_001).astype(np.float32)
+        out = T.gelu(Tensor(x)).data
+        x64 = x.astype(np.float64)
+        ref = x64 * ndtr(x64)
+        err = np.abs(out - ref)
+        assert out.dtype == np.float32
+        assert err.max() <= 4.47e-7  # scipy erf formula in float32: 4.474e-7
+        near = np.abs(x) <= 3
+        ulp = np.spacing(np.abs(ref[near]).astype(np.float32)).astype(np.float64)
+        assert (err[near] <= 32 * ulp).all()  # erf formula: 101 ulp
+
+    @pytest.mark.parametrize("n", [1, T._PHI_CHUNK - 1, T._PHI_CHUNK + 1, 2 * T._PHI_CHUNK + 7])
+    def test_gelu_float32_elementwise_across_chunks(self, n):
+        x = (np.random.default_rng(n).standard_normal(n) * 2).astype(np.float32)
+        out = T.gelu(Tensor(x)).data
+        pieces = [T.gelu(Tensor(x[s : s + 1000])).data for s in range(0, n, 1000)]
+        assert out.tobytes() == np.concatenate(pieces).tobytes()
+        if n > 1:  # a 2-D array walks the same flat chunks
+            grid = T.gelu(Tensor(x[: n - n % 2].reshape(2, -1))).data
+            assert grid.tobytes() == out[: n - n % 2].tobytes()
+
+    def test_gelu_float32_special_inputs(self):
+        from scipy.special import ndtr
+
+        f32 = np.float32
+        empty = T.gelu(Tensor(np.zeros((0, 3), f32))).data
+        assert empty.shape == (0, 3) and empty.dtype == f32
+        far = np.array([-40, -5, -1.6, np.nextafter(f32(1.5), f32(2)), 3, 40], f32)
+        assert T.gelu(Tensor(far)).data.tobytes() == (far * ndtr(far)).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            signed_zero = T.gelu(Tensor(np.array([0.0, -0.0], f32))).data
+            huge = T.gelu(Tensor(np.array([3e38, -3e38, 1e20, -1e20, np.nan, np.inf], f32))).data
+        assert signed_zero.tobytes() == np.array([0.0, -0.0], f32).tobytes()
+        assert huge.tobytes() == np.array([3e38, -0.0, 1e20, -0.0, np.nan, np.inf], f32).tobytes()
+        with np.errstate(invalid="ignore"):  # -inf·Φ(-inf) is -inf·0, as in float64
+            assert np.isnan(T.gelu(Tensor(np.array([-np.inf], f32))).data).all()
+
+    def test_gelu_float32_grad_uses_forward_phi(self):
+        x = (np.random.default_rng(5).standard_normal(5000) * 2).astype(np.float32)
+        g = np.random.default_rng(6).standard_normal(x.shape).astype(np.float32)
+        phi = T._phi_f32(x)
+        dens = np.exp(-0.5 * x * x) * 0.3989422804014327
+        t = Tensor(x, requires_grad=True)
+        out = T.gelu(t)
+        (out * Tensor(g)).sum().backward()
+        assert out.data.tobytes() == (x * phi).tobytes()
         assert t.grad.tobytes() == (g * (phi + x * dens)).tobytes()
 
     def test_gelu_known_values(self):
