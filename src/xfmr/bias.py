@@ -10,7 +10,9 @@ The dynamic provider never goes out of range: its bias table is rebuilt for
 whatever slot extent a layout asks for, by one batched MLP pass over every
 possible offset pair, which is O(G^2) rows instead of the O(G^4) cost of
 evaluating every slot pair directly. Each row of that pass is bitwise equal
-to evaluating its offset alone.
+to evaluating its offset alone; the tests' per-offset oracle,
+``dpb_offset_row`` in ``tests/oracles.py``, runs the MLP from the module's
+parameters one offset at a time.
 """
 
 from __future__ import annotations
@@ -95,28 +97,19 @@ class DynamicPositionBias(Module):
         self.fc_out = Linear(rng, hidden, heads, dtype)
         self.eval_count = 0  # offset rows evaluated by the MLP, for cost audits
 
-    def _rows(self, offsets) -> Tensor:
-        """Bias rows (R, heads) for R raw signed offset pairs (R, 2), each
-        row bitwise equal to the MLP run on that offset alone."""
-        x = Tensor(np.asarray(offsets, dtype=self.dtype))
+    def table(self, slots_h: int, slots_w: int) -> Tensor:
+        """Bias table (2*slots_h-1, 2*slots_w-1, heads) covering every offset
+        a slot grid of that extent can produce, from one batched MLP pass;
+        each row is bitwise equal to the MLP run on its offset alone."""
+        dx, dy = np.meshgrid(np.arange(1 - slots_h, slots_h), np.arange(1 - slots_w, slots_w),
+                             indexing="ij")
+        x = Tensor(np.stack([dx.ravel(), dy.ravel()], axis=1).astype(self.dtype))
         self.eval_count += x.shape[0]
         x = T.linear_rows(x, self.fc_in.w, self.fc_in.b)
         for norm, fc in ((self.norm1, self.fc1), (self.norm2, self.fc2)):
             y = T.linear_rows(T.relu(norm(x)), fc.w, fc.b)
             x = x + y if self.residual else y
-        return T.linear_rows(T.relu(self.norm3(x)), self.fc_out.w, self.fc_out.b)
-
-    def offset_bias(self, dx: float, dy: float) -> Tensor:
-        """Bias vector (1, heads) for one raw signed offset pair."""
-        return self._rows([[dx, dy]])
-
-    def table(self, slots_h: int, slots_w: int) -> Tensor:
-        """Bias table (2*slots_h-1, 2*slots_w-1, heads) covering every offset
-        a slot grid of that extent can produce, from one batched MLP pass
-        whose entries are bitwise equal to ``offset_bias`` of each offset."""
-        dx, dy = np.meshgrid(np.arange(1 - slots_h, slots_h), np.arange(1 - slots_w, slots_w),
-                             indexing="ij")
-        rows = self._rows(np.stack([dx.ravel(), dy.ravel()], axis=1))
+        rows = T.linear_rows(T.relu(self.norm3(x)), self.fc_out.w, self.fc_out.b)
         return rows.reshape(2 * slots_h - 1, 2 * slots_w - 1, self.heads)
 
     def bias_matrix(self, layout: GroupLayout) -> Tensor:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a check failed, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import time
@@ -179,10 +180,14 @@ def cmd_train_toy(args) -> int:
     cfg = _config_from_args(args)
     if cfg.variant == "toy" and not getattr(args, "config", None):
         cfg = replace(cfg, **TOY_TRAINING)
+    warned = io.StringIO()  # numpy's floating-point warnings, one line each
     try:
-        model, result = train_toy(cfg, log=print)
+        with np.errstate(over="log", invalid="log", divide="log", call=warned):
+            model, result = train_toy(cfg, log=print)
     except DivergenceError as exc:
-        print(f"training aborted: {exc}", file=sys.stderr)
+        first = warned.getvalue().partition("\n")[0].removeprefix("Warning: ")
+        seen = f" (first floating-point warning: {first})" if first else ""
+        print(f"training aborted: {exc}{seen}", file=sys.stderr)
         return CHECK_FAILED
     ok = result.reached_full_accuracy_at is not None
     print(f"finished after {result.steps_run} steps, final accuracy {result.final_accuracy:.3f}"

@@ -12,7 +12,7 @@ import numpy as np
 
 from .embed import ConfigError
 
-__all__ = ["synth_dataset", "linear_probe_accuracy"]
+__all__ = ["synth_dataset"]
 
 _SHAPES = ("square", "ring", "disk", "wedge")
 _TEXTURES = ("checker", "stripes")
@@ -72,20 +72,3 @@ def synth_dataset(seed: int, n: int, size: int, classes: int):
         images[i] = rgb.astype(np.float32)
     return images, labels.astype(np.int64)
 
-
-def linear_probe_accuracy(train_x, train_y, test_x, test_y, ridge: float = 1e-2) -> float:
-    """Held-out accuracy of a ridge-regression probe on raw pixels.
-
-    Solved in the dual so the pixel dimension never materializes as a
-    Gram matrix: alpha = (X X^T + ridge I)^-1 Y, predictions X* X^T alpha.
-    """
-    x = train_x.reshape(len(train_x), -1).astype(np.float64)
-    xt = test_x.reshape(len(test_x), -1).astype(np.float64)
-    mu = x.mean(axis=0)
-    x = x - mu
-    xt = xt - mu
-    onehot = np.eye(int(train_y.max()) + 1)[train_y]
-    gram = x @ x.T + ridge * len(x) * np.eye(len(x))
-    alpha = np.linalg.solve(gram, onehot)
-    scores = xt @ x.T @ alpha
-    return float((scores.argmax(axis=1) == test_y).mean())

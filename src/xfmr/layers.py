@@ -51,14 +51,6 @@ class Module:
         for _, p in self.named_parameters():
             yield p
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def requires_grad_(self, flag: bool = True):
-        for p in self.parameters():
-            p.requires_grad = flag
-        return self
-
 
 class Linear(Module):
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, dtype=np.float32):
@@ -90,13 +82,11 @@ class Mlp(Module):
         return self.fc2(T.gelu(self.fc1(x)))
 
 
-def drop_path_mask(rng: np.random.Generator, batch: int, rate: float, rank: int, dtype) -> Tensor | None:
-    """Per-sample stochastic-depth keep mask scaled by 1/keep, or None if off.
+def drop_path_mask(rng: np.random.Generator, batch: int, rate: float, rank: int, dtype) -> Tensor:
+    """Per-sample stochastic-depth keep mask scaled by 1/keep, for 0 < rate < 1.
 
     The mask broadcasts over all non-batch axes of a rank-``rank`` tensor.
     """
-    if rate <= 0.0:
-        return None
     keep = 1.0 - rate
     mask = (rng.random(batch) < keep).astype(dtype) / dtype(keep)
     return Tensor(mask.reshape((batch,) + (1,) * (rank - 1)))

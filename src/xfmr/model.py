@@ -242,9 +242,8 @@ class Block(Module):
     def __call__(self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         def residual(branch: Tensor) -> Tensor:
             if train and self.drop_rate > 0.0:
-                mask = drop_path_mask(rng, x.shape[0], self.drop_rate, branch.data.ndim, branch.data.dtype.type)
-                if mask is not None:
-                    return branch * mask
+                return branch * drop_path_mask(rng, x.shape[0], self.drop_rate, branch.data.ndim,
+                                               branch.data.dtype.type)
             return branch
 
         x = x + residual(self._attend(self.norm1(x)))

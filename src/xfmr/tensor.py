@@ -179,9 +179,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
@@ -204,7 +201,6 @@ def _wrap(x, dtype) -> Tensor:
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad or p._backward is not None for p in parents):
-        out.requires_grad = False
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -301,9 +297,11 @@ def relu(t: Tensor) -> Tensor:
     return _make(out_data, (t,), _bw)
 
 
-def _phi_f32(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF of a float32 array, evaluated chunk by chunk."""
+def _phi_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard normal CDF of a float32 array, evaluated chunk by chunk, and
+    the flat indices of its infinite entries."""
     phi = np.empty(x.shape, np.float32)
+    inf = []
     xf, pf = x.reshape(-1), phi.reshape(-1)
     u = np.empty(min(xf.size, _PHI_CHUNK), np.float32)
     far_u = _PHI_POLY_MAX * _PHI_POLY_MAX
@@ -321,8 +319,10 @@ def _phi_f32(x: np.ndarray) -> np.ndarray:
             pc += 0.5
             if not uc.max() <= far_u:  # also when a NaN makes the max NaN
                 far = np.flatnonzero(uc > far_u)
-                pc[far] = ndtr(xc[far])
-    return phi
+                xfar = xc[far]
+                pc[far] = ndtr(xfar)
+                inf.append(s + far[np.isinf(xfar)])
+    return phi, np.concatenate(inf) if inf else np.empty(0, np.intp)
 
 
 def gelu(t: Tensor) -> Tensor:
@@ -330,21 +330,30 @@ def gelu(t: Tensor) -> Tensor:
 
     float64 computes Φ as 0.5·(1 + erf(x/√2)) with scipy's erf. float32 uses
     `_phi_f32`: against f64 x·ndtr(x) its output is within 3.9e-7 absolute
-    everywhere and 14 ulp for |x| ≤ 3.
+    everywhere and 14 ulp for |x| ≤ 3. At ±inf the value and the slope are
+    their limits, -0 and 0 at -inf, inf and 1 at +inf.
     """
     x = t.data
     if x.dtype == np.float32:
-        phi = _phi_f32(x)
+        phi, inf = _phi_f32(x)
     else:
         phi = x * _INV_SQRT2  # one buffer for 0.5·(1 + erf(x/√2))
         erf(phi, out=phi)
         phi += 1.0
         phi *= 0.5
-    out_data = x * phi
+        inf = np.flatnonzero(np.isinf(x))
+    with np.errstate(invalid="ignore"):  # -inf·Φ(-inf) is -inf·0, set below
+        out_data = x * phi
+    if inf.size:
+        out_data.flat[inf] = np.where(x.flat[inf] > 0, np.inf, -0.0)
 
     def _bw(g):
         dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        _accumulate(t, g * (phi + x * dens))
+        with np.errstate(invalid="ignore"):  # ±inf·0 at ±inf, where the slope is Φ
+            slope = phi + x * dens
+        if inf.size:
+            slope.flat[inf] = phi.flat[inf]
+        _accumulate(t, g * slope)
 
     return _make(out_data, (t,), _bw)
 

@@ -100,7 +100,7 @@ def train_toy(cfg: RunConfig, model: Classifier | None = None,
         loss = cross_entropy(logits, y)
         loss_val = float(loss.data)
         if not math.isfinite(loss_val):
-            raise DivergenceError(f"loss became non-finite at step {step}")
+            raise DivergenceError(f"loss became non-finite at step {step + 1}")
         opt.zero_grad()
         loss.backward()
         opt.step(cosine_lr(cfg.lr, step, cfg.steps, cfg.warmup))

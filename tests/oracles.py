@@ -87,7 +87,7 @@ def masked_full_attention(
     Loops over every (query, key) token pair per head, using the grouped
     attention layer's weight values directly; group membership and slot
     offsets come from the definitional formulas above. The bias comes from
-    ``offset_bias`` of each distinct slot offset, evaluated once per call.
+    ``dpb_offset_row`` of each distinct slot offset, evaluated once per call.
     """
     n, height, width, dim = x.shape
     heads = attn.heads
@@ -116,7 +116,7 @@ def masked_full_attention(
                         offset = (si[0] - sj[0], si[1] - sj[1])
                         if offset not in bias_of:
                             with no_grad():
-                                bias_of[offset] = bias_provider.offset_bias(*offset).data[0]
+                                bias_of[offset] = dpb_offset_row(bias_provider, *offset).data[0]
                         bias = float(bias_of[offset][head])
                     logits[j] = float(q[b, i, sl] @ k[b, j, sl]) / math.sqrt(d) + bias
                 m = logits.max()
@@ -127,13 +127,12 @@ def masked_full_attention(
     return out
 
 
-def dpb_table_per_offset(dpb, slots_h: int, slots_w: int):
-    """Dynamic-position-bias table built one offset at a time.
+def dpb_offset_row(dpb, dx: float, dy: float):
+    """Dynamic-position-bias row (1, heads) of one raw signed offset.
 
-    Runs the provider's MLP on the tape once per (dx, dy) offset, from the
-    module's own parameter tensors, with one ``matmul + b`` per layer and
-    per offset, and stacks the rows with ``concat``: the per-offset path the
-    batched table must match bitwise, values and parameter gradients alike.
+    Runs the provider's MLP on the tape from the module's own parameter
+    tensors, with one ``matmul + b`` per layer, never through the provider's
+    batched evaluation code.
     """
 
     def linear(fc, x):
@@ -142,14 +141,22 @@ def dpb_table_per_offset(dpb, slots_h: int, slots_w: int):
     def norm(ln, x):
         return T.layer_norm(x, ln.gamma, ln.beta, ln.eps)
 
-    rows = []
-    for dx in range(1 - slots_h, slots_h):
-        for dy in range(1 - slots_w, slots_w):
-            x = linear(dpb.fc_in, Tensor(np.array([[dx, dy]], dtype=dpb.dtype)))
-            for ln, fc in ((dpb.norm1, dpb.fc1), (dpb.norm2, dpb.fc2)):
-                y = linear(fc, T.relu(norm(ln, x)))
-                x = x + y if dpb.residual else y
-            rows.append(linear(dpb.fc_out, T.relu(norm(dpb.norm3, x))))
+    x = linear(dpb.fc_in, Tensor(np.array([[dx, dy]], dtype=dpb.dtype)))
+    for ln, fc in ((dpb.norm1, dpb.fc1), (dpb.norm2, dpb.fc2)):
+        y = linear(fc, T.relu(norm(ln, x)))
+        x = x + y if dpb.residual else y
+    return linear(dpb.fc_out, T.relu(norm(dpb.norm3, x)))
+
+
+def dpb_table_per_offset(dpb, slots_h: int, slots_w: int):
+    """Dynamic-position-bias table built one offset at a time.
+
+    Stacks ``dpb_offset_row`` of every (dx, dy) offset with ``concat``: the
+    per-offset path the batched table must match bitwise, values and
+    parameter gradients alike.
+    """
+    rows = [dpb_offset_row(dpb, dx, dy)
+            for dx in range(1 - slots_h, slots_h) for dy in range(1 - slots_w, slots_w)]
     return T.concat(rows, axis=0).reshape(2 * slots_h - 1, 2 * slots_w - 1, dpb.heads)
 
 
@@ -192,3 +199,26 @@ def scaled_backward(op, factor: float = 1.05):
         return out
 
     return wrapped
+
+
+def param_total(module) -> int:
+    """Number of parameter entries of ``module``, summed over its registry."""
+    return sum(p.size for _, p in module.named_parameters())
+
+
+def linear_probe_accuracy(train_x, train_y, test_x, test_y, ridge: float = 1e-2) -> float:
+    """Held-out accuracy of a ridge-regression probe on raw pixels.
+
+    Solved in the dual so the pixel dimension never materializes as a
+    Gram matrix: alpha = (X X^T + ridge I)^-1 Y, predictions X* X^T alpha.
+    """
+    x = train_x.reshape(len(train_x), -1).astype(np.float64)
+    xt = test_x.reshape(len(test_x), -1).astype(np.float64)
+    mu = x.mean(axis=0)
+    x = x - mu
+    xt = xt - mu
+    onehot = np.eye(int(train_y.max()) + 1)[train_y]
+    gram = x @ x.T + ridge * len(x) * np.eye(len(x))
+    alpha = np.linalg.solve(gram, onehot)
+    scores = xt @ x.T @ alpha
+    return float((scores.argmax(axis=1) == test_y).mean())

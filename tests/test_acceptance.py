@@ -34,10 +34,9 @@ from xfmr import (
 )
 from xfmr.analysis import CEL_TARGETS, FLOP_TARGETS, PARAM_TARGETS, POSITION_PARAM_TARGETS, attention_map_macs
 from xfmr.attention import attend_tokens, key_padding_logits
-from xfmr.data import linear_probe_accuracy
 from xfmr.tensor import cross_entropy
 
-from oracles import masked_full_attention
+from oracles import dpb_offset_row, linear_probe_accuracy, masked_full_attention
 
 
 def report(line: str) -> None:
@@ -129,7 +128,7 @@ def test_06_bias_table_and_bake_equivalence():
                 for j in range(0, g * g, max(1, g * g // 5)):
                     xi, yi = divmod(i, g)
                     xj, yj = divmod(j, g)
-                    ref = dpb.offset_bias(xi - xj, yi - yj).data[0]
+                    ref = dpb_offset_row(dpb, xi - xj, yi - yj).data[0]
                     assert (matrix[i, j] == ref).all(), (g, i, j)
     # (b) exactly (2G-1)^2 evaluations per table
     for g in (3, 7, 8):

@@ -187,9 +187,17 @@ class TestTrainAndBake:
         assert not any(".attn.bias.fc_in" in name for name in frozen)
 
     def test_bake_rejects_non_dpb_config(self, capsys, tmp_path):
-        code, _, err = run(capsys, "bake-dpb", "--variant", "toy", "--bias", "rpb",
-                           str(tmp_path / "x.xfmr"), "--out", str(tmp_path / "y.xfmr"))
+        from xfmr import build_model, save_checkpoint, toy_spec
+
+        model = build_model(toy_spec(), seed=0)
+        path = tmp_path / "toy.xfmr"
+        save_checkpoint(path, {n: p.data for n, p in model.named_parameters()})
+        code, out, err = run(capsys, "bake-dpb", "--variant", "toy", "--bias", "rpb",
+                             str(path), "--out", str(tmp_path / "y.xfmr"))
         assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["bake-dpb requires a dynamic-position-bias configuration"]
+        assert not (tmp_path / "y.xfmr").exists()
 
     def test_bake_rejects_non_dpb_checkpoint(self, capsys, tmp_path):
         from xfmr import build_model, save_checkpoint, toy_spec
@@ -250,6 +258,19 @@ class TestTrainAndBake:
         assert len(err.strip().splitlines()) == 1
         assert "head.w" in err and "(128, 4)" in err and "(128, 10)" in err
         assert "--config" in err
+
+    def test_bake_v1_missing_tensor_asks_for_config(self, capsys, tmp_path):
+        from xfmr import build_model, save_checkpoint, toy_spec
+
+        model = build_model(toy_spec(), seed=0)
+        path = tmp_path / "v1.xfmr"
+        save_checkpoint(path, {n: p.data for n, p in model.named_parameters() if n != "head.b"})
+        code, out, err = run(capsys, "bake-dpb", "--variant", "toy",
+                             str(path), "--out", str(tmp_path / "o.xfmr"))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["checkpoint lacks tensor head.b of the model built from the flags; "
+                                    "pass the training config with --config"]
 
     def test_bake_rejects_bad_stored_config(self, capsys, tmp_path):
         import struct
@@ -397,8 +418,16 @@ class TestExitCodes:
          "xfmr gradcheck: error: argument --tol: nan is not a positive finite number"),
         (("gradcheck", "--variant", "toy", "--tol", "-1"), None,
          "xfmr gradcheck: error: argument --tol: -1 is not a positive finite number"),
+        (("count",), "input_size = 64 64\n" + stage_sections("4, 8").replace("heads = 2\n", "heads = 3\n"),
+         "error: [stage.2] at line 11: dim 32 not divisible by heads 3"),
+        (("forward",), "input_size = 64 64\n" + stage_sections("4, 8").replace("1\n[stage.3]", "0\n[stage.3]"),
+         "error: [stage.2] at line 11: blocks, group size and interval must be positive"),
+        (("train-toy",), stage_sections("4, 8"), "error: explicit stages require input_size"),
+        (("count",), "seed 3", "error: line 2: expected 'key = value'"),
+        (("emit-config",), "[stage.x]\ndim = 4", "error: line 2: bad stage number in 'stage.x'"),
     ], ids=["seed", "count-classes", "forward-classes", "zero-classes", "dtype", "steps", "batch",
-            "samples", "lr", "weight-decay", "drop-path", "tol-nan", "tol-negative"])
+            "samples", "lr", "weight-decay", "drop-path", "tol-nan", "tol-negative", "stage-heads",
+            "stage-blocks", "stages-without-input-size", "line-without-equals", "stage-number"])
     def test_bad_run_setting_is_2(self, capsys, tmp_path, argv, config, line):
         if config is not None:
             path = tmp_path / "bad.cfg"
@@ -413,6 +442,17 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err.splitlines()[-1] == line
         assert "Traceback" not in out.err
+
+    def test_diverging_training_is_1_with_one_stderr_line(self, tmp_path):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("variant = toy\nclasses = 4\nlr = 1000000.0\n")
+        proc = run_module("train-toy", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert [line.split()[:2] for line in proc.stdout.splitlines()] == [["step", "1"]]
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("training aborted: loss became non-finite at step 2 "
+                                   "(first floating-point warning: ")
 
     @pytest.mark.parametrize("command", ["emit-config", "count"])
     @pytest.mark.parametrize("line, allowed", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xfmr import synth_dataset
-from xfmr.data import linear_probe_accuracy
+from oracles import linear_probe_accuracy
 
 
 def test_deterministic_per_seed():

@@ -434,15 +434,30 @@ class TestStandardLayers:
             warnings.simplefilter("error", RuntimeWarning)
             signed_zero = T.gelu(Tensor(np.array([0.0, -0.0], f32))).data
             huge = T.gelu(Tensor(np.array([3e38, -3e38, 1e20, -1e20, np.nan, np.inf], f32))).data
+            neg_inf = T.gelu(Tensor(np.array([-np.inf], f32))).data
         assert signed_zero.tobytes() == np.array([0.0, -0.0], f32).tobytes()
         assert huge.tobytes() == np.array([3e38, -0.0, 1e20, -0.0, np.nan, np.inf], f32).tobytes()
-        with np.errstate(invalid="ignore"):  # -inf·Φ(-inf) is -inf·0, as in float64
-            assert np.isnan(T.gelu(Tensor(np.array([-np.inf], f32))).data).all()
+        assert neg_inf.tobytes() == np.array([-0.0], f32).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_infinities_take_the_limits(self, dtype):
+        # x·Φ(x) is -0 at -inf and inf at +inf; its slope Φ + x·φ is 0 and 1
+        x = np.array([[-np.inf, 0.5], [np.inf, -np.inf]], dtype).T  # not C-contiguous
+        t = Tensor(x, requires_grad=True)
+        half = Tensor(np.array([0.5], dtype), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = T.gelu(t)
+            (out * 3.0).sum().backward()
+            finite = T.gelu(half)
+            (finite * 3.0).sum().backward()
+        assert out.data.tobytes() == np.array([[-0.0, np.inf], [finite.data[0], -0.0]], dtype).tobytes()
+        assert t.grad.tobytes() == np.array([[0.0, 3.0], [half.grad[0], 0.0]], dtype).tobytes()
 
     def test_gelu_float32_grad_uses_forward_phi(self):
         x = (np.random.default_rng(5).standard_normal(5000) * 2).astype(np.float32)
         g = np.random.default_rng(6).standard_normal(x.shape).astype(np.float32)
-        phi = T._phi_f32(x)
+        phi, _ = T._phi_f32(x)
         dens = np.exp(-0.5 * x * x) * 0.3989422804014327
         t = Tensor(x, requires_grad=True)
         out = T.gelu(t)
@@ -462,7 +477,6 @@ class TestStandardLayers:
         from xfmr.layers import Linear
 
         lin = Linear(np.random.default_rng(0), 4, 3, dtype=np.float64)
-        lin.requires_grad_()
         x = randt(5, 4, grad=True)
         rep = grad_check(
             lambda: (lin(x) * 0.7).sum(),
