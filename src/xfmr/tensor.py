@@ -9,6 +9,7 @@ Only the operations the model actually needs are implemented.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ _INV_SQRT_2PI = 0.3989422804014327
 _PHI_POLY_MAX = 1.5
 _PHI_POLY = (3.8711164e-07, -8.534946e-06, 1.13824084e-04, -1.18574e-03, 9.972722e-03, -6.649018e-02, 0.39894226)
 _PHI_CHUNK = 32768  # values per pass, so that x, x² and Φ of a chunk stay in cache
+_NARROW_MAX = 16  # widest rows whose maximum is taken column by column
 
 
 @contextlib.contextmanager
@@ -276,7 +278,7 @@ def reduce_sum(t: Tensor, axis=None, keepdims=False) -> Tensor:
 
 def reduce_mean(t: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = t.data.mean(axis=axis, keepdims=keepdims)
-    denom = t.data.size if axis is None else int(np.prod([t.data.shape[a] for a in np.atleast_1d(axis)]))
+    denom = t.data.size if axis is None else math.prod(t.data.shape[a] for a in np.atleast_1d(axis))
 
     def _bw(g):
         if axis is None:
@@ -363,7 +365,7 @@ def gelu(t: Tensor) -> Tensor:
 
 def reshape(t: Tensor, new_shape) -> Tensor:
     new_shape = tuple(int(s) for s in new_shape)
-    if int(np.prod(new_shape)) != t.data.size:
+    if math.prod(new_shape) != t.data.size:
         raise ShapeError(f"cannot reshape {t.shape} (size {t.data.size}) to {new_shape}")
     out_data = t.data.reshape(new_shape)
 
@@ -478,11 +480,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     k = a.data.shape[-1]
     fold = b.data.ndim == 2
     if fold:
-        rows, n = int(np.prod(a.data.shape[:-1])), b.data.shape[1]
+        rows, n = math.prod(a.data.shape[:-1]), b.data.shape[1]
         out_data = (a.data.reshape(rows, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
     else:
         out_data = np.matmul(a.data, b.data)
-    _record_macs(int(np.prod(out_data.shape)) * k)
+    _record_macs(out_data.size * k)
 
     def _bw(g):
         if fold:
@@ -611,71 +613,125 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding:
                 dx[:, : hq * s - padding, : wq * s - padding] = dxq[:, padding : padding + h, padding : padding + w]
             _accumulate(t, dx)
         if bias is not None and _needs_grad(bias):
-            _accumulate(bias, g.sum(axis=(0, 1, 2)))
+            _accumulate(bias, _col_sum(g))
 
     parents = (t, kernel) if bias is None else (t, kernel, bias)
     return _make(out, parents, _bw)
 
 
 # -- normalization and softmax -----------------------------------------------
+#
+# Norms and softmax reduce many short rows, where numpy's ``ufunc.reduce`` pays
+# a set-up per row that costs more than the adds; einsum does not. Never pass
+# einsum ``optimize=``: it may route a sum to BLAS, whose GEMV rounds a row
+# differently depending on the rows around it.
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as C-order (rows, last axis) for the reductions below."""
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+
+
+def _row_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``a`` (or of ``a*b``) over the last axis, kept as an axis of 1."""
+    s = np.einsum("ij->i", _rows(a)) if b is None else np.einsum("ij,ij->i", _rows(a), _rows(b))
+    return s.reshape(a.shape[:-1] + (1,))
+
+
+def _col_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``a`` (or of ``a*b``) over every axis but the last, adding the
+    rows in order; one column alone is summed as a row is."""
+    return np.einsum("ij->j", _rows(a)) if b is None else np.einsum("ij,ij->j", _rows(a), _rows(b))
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over the last axis, kept as an axis of 1; NaN if a row holds one.
+
+    A maximum is exact in any order. Rows up to _NARROW_MAX wide take a
+    running ``np.maximum`` over the columns, wider ones ``np.maximum.reduceat``
+    over the flat array; each costs less per row than ``np.max`` there.
+    """
+    d = a.shape[-1]
+    if a.size == 0:  # no rows, or rows of width 0, which np.max refuses
+        return np.max(a, axis=-1, keepdims=True)
+    if d <= _NARROW_MAX:
+        m = a[..., :1].copy()
+        for j in range(1, d):
+            np.maximum(m, a[..., j : j + 1], out=m)
+        return m
+    flat = a.reshape(-1)
+    return np.maximum.reduceat(flat, np.arange(0, flat.size, d)).reshape(a.shape[:-1] + (1,))
 
 
 def softmax_lastdim(t: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis.
 
     -inf logits get exactly zero probability; rows whose logits are all
-    -inf (fully masked padding) produce all-zero rows instead of NaN.
+    -inf (fully masked padding) produce all-zero rows instead of NaN. A row
+    that holds a NaN gives NaN, so the fault reaches the loss. Row sums are
+    einsum's and maxima exact, so a row's output is bitwise the same alone or
+    among any number of rows, as batched DPB tables need.
     """
     x = t.data
-    m = np.max(x, axis=-1, keepdims=True)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(x - shift)
-    s = e.sum(axis=-1, keepdims=True)
-    p = np.divide(e, s, out=np.zeros_like(e), where=s > 0)
+    m = _row_max(x)
+    masked = m == -np.inf
+    m[masked] = 0.0
+    p = np.subtract(x, m)
+    np.exp(p, out=p)
+    s = _row_sum(p)
+    s[masked] = 1.0  # the exp row of a fully masked row is all zeros
+    p /= s
 
     def _bw(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        _accumulate(t, p * (g - inner))
+        dx = g - _row_sum(g, p)
+        dx *= p
+        _accumulate(t, dx)
 
     return _make(p, (t,), _bw)
 
 
 def log_softmax_lastdim(t: Tensor) -> Tensor:
     x = t.data
-    m = np.max(x, axis=-1, keepdims=True)
+    m = _row_max(x)
     shift = np.where(np.isfinite(m), m, 0.0)
     z = x - shift
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    lse = np.log(_row_sum(np.exp(z)))
     out_data = z - lse
 
     def _bw(g):
         p = np.exp(out_data)
-        _accumulate(t, g - p * g.sum(axis=-1, keepdims=True))
+        _accumulate(t, g - p * _row_sum(g))
 
     return _make(out_data, (t,), _bw)
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Means and variances are einsum row sums, so a token is normalized to the
+    same bits alone or in any batch, as batched DPB tables need; the gamma
+    and beta gradients add the tokens in order.
+    """
     x = t.data
     d = x.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError("gamma/beta must match the last-axis extent")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    out_data = xhat * gamma.data + beta.data
+    xhat = x - _row_sum(x) / d
+    inv_std = 1.0 / np.sqrt(_row_sum(xhat, xhat) / d + eps)
+    xhat *= inv_std
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def _bw(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(beta, g.sum(axis=reduce_axes))
-        _accumulate(gamma, (g * xhat).sum(axis=reduce_axes))
+        _accumulate(beta, _col_sum(g))
+        _accumulate(gamma, _col_sum(g, xhat))
         dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(t, inv_std * (dxhat - m1 - xhat * m2))
+        m1 = _row_sum(dxhat) / d
+        m2 = _row_sum(dxhat, xhat) / d
+        dxhat -= m1
+        dxhat -= xhat * m2
+        dxhat *= inv_std
+        _accumulate(t, dxhat)
 
     return _make(out_data, (t, gamma, beta), _bw)
 

@@ -145,20 +145,18 @@ class TestForward:
 
 
 class TestGradcheck:
-    def test_toy_passes(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--variant", "toy",
-                           "--entries-per-tensor", "1", "--tol", "1e-4")
+    def test_toy_passes(self, toy_gradcheck_run):
+        code, out = toy_gradcheck_run  # gradcheck --variant toy --entries-per-tensor 1 --tol 1e-4
         assert code == 0
         assert "PASS" in out and "worst parameter groups" in out
 
-    def test_corrupted_backward_fails(self, capsys, monkeypatch):
+    def test_corrupted_backward_fails(self, capsys, monkeypatch, toy_gradcheck_run):
         argv = ("gradcheck", "--variant", "toy", "--entries-per-tensor", "1")
         monkeypatch.setattr(T, "relu", scaled_backward(T.relu))  # the position-bias MLP's relu
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert "FAIL" in out
-        monkeypatch.undo()
-        code, out, _ = run(capsys, *argv)
+        code, out = toy_gradcheck_run  # the same argv unpatched; --tol 1e-4 is the default
         assert code == 0
         assert "PASS" in out
 

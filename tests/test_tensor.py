@@ -13,6 +13,14 @@ from oracles import conv2d_loops, matmul_loops
 rng = np.random.default_rng(1234)
 
 
+@pytest.fixture(autouse=True)
+def _fresh_rng():
+    """Each test draws from a fresh ``rng``, so its data do not depend on
+    which tests ran before it."""
+    global rng
+    rng = np.random.default_rng(1234)
+
+
 def randt(*shape, grad=False):
     return Tensor(rng.standard_normal(shape), requires_grad=grad)
 
@@ -233,6 +241,22 @@ class TestSoftmax:
         p = T.softmax_lastdim(Tensor(np.full((1, 3), -np.inf))).data
         assert (p == 0).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [3, 40])
+    def test_nan_row_gives_nan(self, dtype, width):
+        r = np.random.default_rng(11)
+        x = r.standard_normal((4, width)).astype(dtype)
+        x[1, 1] = np.nan
+        x[2] = -np.inf
+        x[3, ::2] = -np.inf
+        p = T.softmax_lastdim(Tensor(x)).data
+        assert np.isnan(p[1]).all()
+        assert p[2].tobytes() == np.zeros(width, dtype).tobytes()
+        finite = T.softmax_lastdim(Tensor(x[[0, 3]])).data
+        assert p[[0, 3]].tobytes() == finite.tobytes()
+        shifted = np.exp(x[[0, 3]] - x[[0, 3]].max(-1, keepdims=True))
+        np.testing.assert_allclose(finite, shifted / shifted.sum(-1, keepdims=True), rtol=1e-6)
+
     @given(st.floats(-50, 50))
     @settings(max_examples=25, deadline=None)
     def test_shift_invariance(self, c):
@@ -254,6 +278,77 @@ class TestSoftmax:
             lambda: (T.softmax_lastdim(x + Tensor(mask)) * 2.0).sum(), [("x", x)], tol=1e-6
         )
         assert rep.passed, rep.summary()
+
+
+class TestReductions:
+    """The row and column reductions of the norms and softmax. A row reduces
+    to the same bits alone or in a batch of any size, and columns add the
+    rows in order."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_results_do_not_depend_on_row_count(self, dtype):
+        r = np.random.default_rng(21)
+        for d in range(1, 601):
+            a, b = r.standard_normal((2, 5, d)).astype(dtype)
+            one, zero = Tensor(np.ones(d, dtype)), Tensor(np.zeros(d, dtype))
+            batch = [T._row_sum(a), T._row_sum(a, b), T._row_max(a),
+                     T.softmax_lastdim(Tensor(a)).data, T.layer_norm(Tensor(a), one, zero).data]
+            for i in range(5):
+                lone = [T._row_sum(a[i:i + 1]), T._row_sum(a[i:i + 1], b[i:i + 1]), T._row_max(a[i:i + 1]),
+                        T.softmax_lastdim(Tensor(a[i])).data, T.layer_norm(Tensor(a[i]), one, zero).data]
+                for whole, alone in zip(batch, lone):
+                    assert whole[i].tobytes() == alone.reshape(-1).tobytes(), (d, i)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_col_sum_adds_rows_in_order(self, dtype):
+        r = np.random.default_rng(22)
+        for d in range(2, 130, 3):
+            for rows in (1, 2, 7, 33):
+                a, b = r.standard_normal((2, rows, d)).astype(dtype)
+                a[0] = -0.0  # a row of signed zeros
+                if rows > 2:
+                    a[2, ::2] = -0.0
+                    b[2, 1::2] = -0.0
+                acc, acc_ab = np.zeros(d, dtype), np.zeros(d, dtype)
+                for i in range(rows):
+                    acc = acc + a[i]
+                    acc_ab = acc_ab + a[i] * b[i]
+                assert T._col_sum(a).tobytes() == acc.tobytes(), (d, rows)
+                assert T._col_sum(a, b).tobytes() == acc_ab.tobytes(), (d, rows)
+                assert T._col_sum(a.reshape(1, rows, 1, d)).tobytes() == acc.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 2, 4, T._NARROW_MAX, T._NARROW_MAX + 1, 49, 600])
+    def test_row_max_equals_np_max(self, dtype, width):
+        a = np.random.default_rng(width).standard_normal((6, 3, width)).astype(dtype)
+        a[0, 0] = -np.inf
+        a[1, 1, -1] = np.nan
+        a[2, 2] = np.nan
+        a[3, 0, 0] = np.inf
+        a[4, 1, ::2] = -np.inf
+        assert T._row_max(a).tobytes() == np.max(a, axis=-1, keepdims=True).tobytes()
+        assert T._row_max(a[:, 1]).tobytes() == np.max(a[:, 1], axis=-1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_and_width_one_shapes(self, dtype):
+        for shape in [(0, 5), (2, 0, 4)]:
+            x = np.zeros(shape, dtype)
+            d = shape[-1]
+            assert T._row_sum(x).shape == T._row_max(x).shape == shape[:-1] + (1,)
+            assert T._col_sum(x).tobytes() == np.zeros(d, dtype).tobytes()
+            assert T.softmax_lastdim(Tensor(x)).data.shape == shape
+            out = T.layer_norm(Tensor(x), Tensor(np.ones(d, dtype)), Tensor(np.zeros(d, dtype)))
+            assert out.data.shape == shape and out.data.dtype == dtype
+        assert T._row_sum(np.zeros((3, 0), dtype)).tobytes() == np.zeros((3, 1), dtype).tobytes()
+        with pytest.raises(ValueError):  # np.max refuses to reduce an empty row
+            T.softmax_lastdim(Tensor(np.zeros((3, 0), dtype)))
+        x = np.random.default_rng(23).standard_normal((4, 1)).astype(dtype)
+        assert T._row_sum(x).tobytes() == x.tobytes()
+        assert T._row_max(x).tobytes() == x.tobytes()
+        np.testing.assert_allclose(T._col_sum(x), x.sum(axis=0), rtol=1e-6)
+        assert T.softmax_lastdim(Tensor(x)).data.tobytes() == np.ones((4, 1), dtype).tobytes()
+        beta = Tensor(np.array([0.5], dtype))
+        assert (T.layer_norm(Tensor(x), Tensor(np.ones(1, dtype)), beta).data == 0.5).all()
 
 
 class TestLayerNorm:
