@@ -53,12 +53,15 @@ class Module:
 
 
 class Linear(Module):
+    """Token-wise ``x @ w + b``: one `T.linear` tape node, which keeps only
+    its inputs."""
+
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, dtype=np.float32):
         self.w = Tensor(trunc_normal(rng, (d_in, d_out), dtype=dtype), requires_grad=True)
         self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.w) + self.b
+        return T.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -72,14 +75,16 @@ class LayerNorm(Module):
 
 
 class Mlp(Module):
-    """Token-wise two-layer feed-forward with GELU."""
+    """Token-wise two-layer feed-forward with GELU: one `T.mlp` tape node,
+    which keeps the GELU output and its slope and no other hidden-sized
+    array."""
 
     def __init__(self, rng, dim: int, hidden: int, dtype=np.float32):
         self.fc1 = Linear(rng, dim, hidden, dtype)
         self.fc2 = Linear(rng, hidden, dim, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(x)))
+        return T.mlp(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
 
 
 def drop_path_mask(rng: np.random.Generator, batch: int, rate: float, rank: int, dtype) -> Tensor:

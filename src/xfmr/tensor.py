@@ -21,6 +21,8 @@ __all__ = [
     "MacCounter",
     "count_macs",
     "matmul",
+    "linear",
+    "mlp",
     "linear_rows",
     "conv2d",
     "relu",
@@ -45,7 +47,7 @@ _INV_SQRT_2PI = 0.3989422804014327
 # relative error on x·Φ(x) is 4e-9, far below float32 rounding.
 _PHI_POLY_MAX = 1.5
 _PHI_POLY = (3.8711164e-07, -8.534946e-06, 1.13824084e-04, -1.18574e-03, 9.972722e-03, -6.649018e-02, 0.39894226)
-_PHI_CHUNK = 32768  # values per pass, so that x, x² and Φ of a chunk stay in cache
+_PHI_CHUNK = 32768  # values per pass, so that a chunk and its scratch stay in cache
 _NARROW_MAX = 16  # widest rows whose maximum is taken column by column
 
 
@@ -62,7 +64,8 @@ def no_grad():
 
 
 class MacCounter:
-    """Counts multiply-accumulate operations executed by matmul/conv2d.
+    """Counts multiply-accumulate operations executed by ``matmul``,
+    ``linear``, ``mlp``, ``linear_rows`` and ``conv2d``.
 
     One MAC is one multiply-add; softmax, norms, activations and bias adds
     are not counted. Counters nest: every active counter sees every MAC.
@@ -200,16 +203,21 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or t._backward is not None
+
+
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether ``_make`` puts a node with these parents on the tape."""
+    return _GRAD_ENABLED and any(_needs_grad(p) for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad or p._backward is not None for p in parents):
+    if _records(parents):
         out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._backward is not None
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -299,65 +307,91 @@ def relu(t: Tensor) -> Tensor:
     return _make(out_data, (t,), _bw)
 
 
-def _phi_f32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standard normal CDF of a float32 array, evaluated chunk by chunk, and
-    the flat indices of its infinite entries."""
-    phi = np.empty(x.shape, np.float32)
-    inf = []
-    xf, pf = x.reshape(-1), phi.reshape(-1)
-    u = np.empty(min(xf.size, _PHI_CHUNK), np.float32)
-    far_u = _PHI_POLY_MAX * _PHI_POLY_MAX
+def _phi(x: np.ndarray, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a flat chunk ``x`` into ``phi``, ``u`` being
+    scratch of the same size; returns the indices of ``x``'s infinite entries.
+    float64 computes 0.5·(1 + erf(x/√2)) with scipy's erf, float32 the
+    polynomial for |x| ≤ _PHI_POLY_MAX, in place, and scipy's ndtr beyond."""
+    if x.dtype != np.float32:
+        np.multiply(x, _INV_SQRT2, out=phi)
+        erf(phi, out=phi)
+        phi += 1.0
+        phi *= 0.5
+        return np.flatnonzero(np.isinf(x))
     with np.errstate(over="ignore"):  # P overflows at huge |x|; ndtr overwrites those
-        for s in range(0, xf.size, _PHI_CHUNK):
-            xc, pc = xf[s : s + _PHI_CHUNK], pf[s : s + _PHI_CHUNK]
-            uc = u[: xc.size]
-            np.multiply(xc, xc, out=uc)
-            np.multiply(uc, _PHI_POLY[0], out=pc)
-            for c in _PHI_POLY[1:-1]:
-                pc += c
-                pc *= uc
-            pc += _PHI_POLY[-1]
-            pc *= xc
-            pc += 0.5
-            if not uc.max() <= far_u:  # also when a NaN makes the max NaN
-                far = np.flatnonzero(uc > far_u)
-                xfar = xc[far]
-                pc[far] = ndtr(xfar)
-                inf.append(s + far[np.isinf(xfar)])
-    return phi, np.concatenate(inf) if inf else np.empty(0, np.intp)
+        np.multiply(x, x, out=u)
+        np.multiply(u, _PHI_POLY[0], out=phi)
+        for c in _PHI_POLY[1:-1]:
+            phi += c
+            phi *= u
+        phi += _PHI_POLY[-1]
+        phi *= x
+        phi += 0.5
+        if u.max() <= _PHI_POLY_MAX * _PHI_POLY_MAX:  # False also when a NaN makes the max NaN
+            return np.empty(0, np.intp)
+        far = np.flatnonzero(u > _PHI_POLY_MAX * _PHI_POLY_MAX)
+        xfar = x[far]
+        phi[far] = ndtr(xfar)
+    return far[np.isinf(xfar)]
+
+
+def _gelu_rows(h: np.ndarray, out: np.ndarray, slope: np.ndarray | None, bias: np.ndarray | None = None) -> None:
+    """The one GELU kernel: x·Φ(x) of the C-order (rows, width) array ``h``
+    into ``out`` and, unless ``slope`` is None, its slope Φ + x·φ(x) into
+    ``slope``. ``bias``, when given, is first added to ``h`` in place.
+
+    It walks whole rows, about _PHI_CHUNK values at a time, so that a chunk
+    and its Φ stay in cache. ``out`` may be ``h``, or ``slope`` may be: each
+    is written after the chunk's last read of ``h``. At ±inf the value and
+    the slope take their limits, -0 and 0 at -inf, inf and 1 at +inf.
+    """
+    rows, width = h.shape
+    step = max(1, _PHI_CHUNK // max(width, 1))
+    phi, u = (np.empty(min(rows, step) * width, h.dtype) for _ in range(2))
+    for s in range(0, rows if width else 0, step):
+        hc = h[s : s + step]
+        if bias is not None:
+            hc += bias
+        x, y = hc.reshape(-1), out[s : s + step].reshape(-1)
+        ph, uc = phi[: x.size], u[: x.size]
+        inf = _phi(x, ph, uc)
+        limit = np.where(x[inf] > 0, np.inf, -0.0) if inf.size else None
+        with np.errstate(invalid="ignore"):  # -inf·Φ(-inf) is -inf·0, set below
+            np.multiply(x, ph, out=y)
+        if slope is not None:
+            np.multiply(x, -0.5, out=uc)  # φ(x) = exp(-x·x/2)/√(2π), in the order of -0.5·x·x
+            uc *= x
+            np.exp(uc, out=uc)
+            uc *= _INV_SQRT_2PI
+            with np.errstate(invalid="ignore"):  # ±inf·0 at ±inf, where the slope is Φ
+                uc *= x
+            sl = slope[s : s + step].reshape(-1)
+            np.add(ph, uc, out=sl)
+            if inf.size:
+                sl[inf] = ph[inf]
+        if inf.size:
+            y[inf] = limit
 
 
 def gelu(t: Tensor) -> Tensor:
     """Gaussian error linear unit x·Φ(x), Φ the standard normal CDF.
 
-    float64 computes Φ as 0.5·(1 + erf(x/√2)) with scipy's erf. float32 uses
-    `_phi_f32`: against f64 x·ndtr(x) its output is within 3.9e-7 absolute
-    everywhere and 14 ulp for |x| ≤ 3. At ±inf the value and the slope are
-    their limits, -0 and 0 at -inf, inf and 1 at +inf.
+    One tape node that keeps its slope Φ + x·φ(x), computed with the value,
+    and no other array. float64 computes Φ as 0.5·(1 + erf(x/√2)) with
+    scipy's erf. float32 uses a polynomial (see `_phi`): against f64
+    x·ndtr(x) its output is within 3.9e-7 absolute everywhere and 14 ulp for
+    |x| ≤ 3. At ±inf the value and the slope are their limits, -0 and 0 at
+    -inf, inf and 1 at +inf.
     """
     x = t.data
-    if x.dtype == np.float32:
-        phi, inf = _phi_f32(x)
-    else:
-        phi = x * _INV_SQRT2  # one buffer for 0.5·(1 + erf(x/√2))
-        erf(phi, out=phi)
-        phi += 1.0
-        phi *= 0.5
-        inf = np.flatnonzero(np.isinf(x))
-    with np.errstate(invalid="ignore"):  # -inf·Φ(-inf) is -inf·0, set below
-        out_data = x * phi
-    if inf.size:
-        out_data.flat[inf] = np.where(x.flat[inf] > 0, np.inf, -0.0)
+    out = np.empty(x.shape, x.dtype)
+    slope = np.empty(x.shape, x.dtype) if _records((t,)) else None
+    _gelu_rows(x.reshape(-1, 1), out.reshape(-1, 1), None if slope is None else slope.reshape(-1, 1))
 
     def _bw(g):
-        dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        with np.errstate(invalid="ignore"):  # ±inf·0 at ±inf, where the slope is Φ
-            slope = phi + x * dens
-        if inf.size:
-            slope.flat[inf] = phi.flat[inf]
         _accumulate(t, g * slope)
 
-    return _make(out_data, (t,), _bw)
+    return _make(out, (t,), _bw)
 
 
 # -- shape ops -----------------------------------------------------------------
@@ -477,22 +511,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul requires rank >= 2 operands")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    k = a.data.shape[-1]
     fold = b.data.ndim == 2
     if fold:
-        rows, n = math.prod(a.data.shape[:-1]), b.data.shape[1]
-        out_data = (a.data.reshape(rows, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
+        out_data = _folded(a.data, b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
     else:
         out_data = np.matmul(a.data, b.data)
-    _record_macs(out_data.size * k)
+        _record_macs(out_data.size * a.data.shape[-1])
 
     def _bw(g):
         if fold:
-            g2 = g.reshape(rows, n)
-            if _needs_grad(a):
-                _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-            if _needs_grad(b):
-                _accumulate(b, a.data.reshape(rows, k).T @ g2)
+            _folded_grads(_rows(g), a, b)
             return
         if _needs_grad(a):
             _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
@@ -500,6 +528,87 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _make(out_data, (a, b), _bw)
+
+
+def _folded(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a`` (..., K) times a 2-D ``w`` (K, N) as one (M, K) @ (K, N) GEMM, M
+    being the product of ``a``'s leading extents; returns the (M, N) product
+    and records its MACs."""
+    out = _rows(a) @ w
+    _record_macs(out.size * w.shape[0])
+    return out
+
+
+def _folded_grads(g2: np.ndarray, a: Tensor, w: Tensor) -> None:
+    """Accumulate the gradients of ``_folded(a.data, w.data)`` given the
+    (M, N) gradient ``g2``: one GEMM each. The ``a`` rows are folded again
+    here rather than kept on the tape."""
+    if _needs_grad(a):
+        _accumulate(a, (g2 @ w.data.T).reshape(a.data.shape))
+    if _needs_grad(w):
+        _accumulate(w, _rows(a.data).T @ g2)
+
+
+def _check_affine(name: str, shape: tuple[int, ...], w: Tensor, b: Tensor) -> None:
+    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:] or shape[-1:] != w.data.shape[:1]:
+        raise ShapeError(f"{name} wants (..., K) @ (K, N) + (N,), got {shape} @ {w.data.shape} + {b.data.shape}")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Token-wise affine map ``x @ w + b`` of (..., K) ``x`` as one tape node.
+
+    The output is ``matmul(x, w) + b`` bitwise: the folded GEMM, then the
+    bias added in place. The node keeps only its inputs. The gradients are
+    those of that composition too; the bias gradient is ``add``'s reduction.
+    """
+    _check_affine("linear", x.data.shape, w, b)
+    out = _folded(x.data, w.data)
+    out += b.data
+    out = out.reshape(x.data.shape[:-1] + b.data.shape)
+
+    def _bw(g):
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g, b.data.shape))
+        _folded_grads(_rows(g), x, w)
+
+    return _make(out, (x, w, b), _bw)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Token-wise ``gelu(x @ w1 + b1) @ w2 + b2`` as one tape node.
+
+    Outputs and gradients equal bitwise those of ``linear`` → ``gelu`` →
+    ``linear``. The hidden pre-activations h get ``b1`` and GELU chunk by
+    chunk in cache (`_gelu_rows`). On the tape the node keeps two
+    hidden-sized arrays, the GELU output and its slope, which overwrites h;
+    without a tape GELU runs in place in h.
+    """
+    _check_affine("mlp", x.data.shape, w1, b1)
+    _check_affine("mlp", w1.data.shape, w2, b2)
+    hidden = w1.data.shape[1]
+    lead = x.data.shape[:-1]
+    h = _folded(x.data, w1.data)
+    keep = _records((x, w1, b1, w2, b2))
+    act = np.empty_like(h) if keep else h
+    _gelu_rows(h, act, h if keep else None, b1.data)
+    out = _folded(act, w2.data)
+    out += b2.data
+    out = out.reshape(lead + b2.data.shape)
+    slope = h
+
+    def _bw(g):
+        g2 = _rows(g)
+        if _needs_grad(b2):
+            _accumulate(b2, _unbroadcast(g, b2.data.shape))
+        if _needs_grad(w2):
+            _accumulate(w2, act.T @ g2)
+        ga = g2 @ w2.data.T
+        ga *= slope
+        if _needs_grad(b1):
+            _accumulate(b1, _unbroadcast(ga.reshape(lead + (hidden,)), b1.data.shape))
+        _folded_grads(ga, x, w1)
+
+    return _make(out, (x, w1, b1, w2, b2), _bw)
 
 
 def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -691,16 +800,22 @@ def softmax_lastdim(t: Tensor) -> Tensor:
 
 
 def log_softmax_lastdim(t: Tensor) -> Tensor:
+    """Log of ``softmax_lastdim``: a row whose logits are all -inf gives -inf
+    and a zero gradient, the log of softmax's zero row; a NaN row gives NaN."""
     x = t.data
     m = _row_max(x)
+    masked = m == -np.inf
     shift = np.where(np.isfinite(m), m, 0.0)
     z = x - shift
-    lse = np.log(_row_sum(np.exp(z)))
-    out_data = z - lse
+    s = _row_sum(np.exp(z))
+    s[masked] = 1.0  # log 1 = 0 leaves the row at -inf
+    out_data = z - np.log(s)
 
     def _bw(g):
         p = np.exp(out_data)
-        _accumulate(t, g - p * _row_sum(g))
+        dx = g - p * _row_sum(g)
+        dx[masked[..., 0]] = 0.0
+        _accumulate(t, dx)
 
     return _make(out_data, (t,), _bw)
 

@@ -222,6 +222,138 @@ class TestLinearRows:
             T.linear_rows(randt(5, 4), randt(3, 3), randt(3))
 
 
+def _composed_linear(x, w, b):
+    return T.matmul(x, w) + b
+
+
+def _composed_mlp(x, w1, b1, w2, b2):
+    return T.matmul(T.gelu(T.matmul(x, w1) + b1), w2) + b2
+
+
+def _tape_bytes(forward, arrays, weights):
+    """Bytes of the output and of every input's gradient of
+    ``(forward(*inputs) * weights).sum()``, plus the output without a tape."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out = forward(*inputs)
+    (out * Tensor(weights)).sum().backward()
+    with T.no_grad():
+        untaped = forward(*[Tensor(a) for a in arrays])
+    return [out.data.tobytes(), untaped.data.tobytes()] + [t.grad.tobytes() for t in inputs]
+
+
+class TestFusedTokenwise:
+    """``linear`` and ``mlp`` are one tape node each and give bitwise the
+    outputs and gradients of their matmul → add (→ gelu → matmul → add)
+    composition, with or without a tape."""
+
+    HIDDEN = 64
+    PER_CHUNK = T._PHI_CHUNK // HIDDEN  # rows in one GELU chunk at HIDDEN wide
+    LEADS = {
+        "one-row": (1,),
+        "chunk-less-one": (PER_CHUNK - 1,),
+        "chunk": (PER_CHUNK,),
+        "chunk-plus-one": (PER_CHUNK + 1,),
+        "two-chunks-plus": (2 * PER_CHUNK + 3,),
+        "rank4": (2, 3, 5),
+        "zero-rows": (0,),
+        "zero-rows-rank3": (2, 0),
+        "permuted": "permuted",
+    }
+
+    @staticmethod
+    def mlp_arrays(r, lead, dtype, hidden=HIDDEN, d=5, n=3):
+        """x, w1, b1, w2, b2 and loss weights; pre-activations have std ≈ 1.6,
+        so that a share of them lies beyond the polynomial's ±1.5."""
+        if lead == "permuted":  # a non-contiguous x of shape (6, 7, d)
+            x = r.standard_normal((7, 6, d)).transpose(1, 0, 2)
+            lead = (6, 7)
+        else:
+            x = r.standard_normal(lead + (d,))
+        arrays = [x * 0.7, r.standard_normal((d, hidden)), r.standard_normal(hidden) * 0.3,
+                  r.standard_normal((hidden, n)), r.standard_normal(n)]
+        weights = r.standard_normal(lead + (n,))
+        return [a.astype(dtype) for a in arrays], weights.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_mlp_equals_composition_bitwise(self, dtype, lead):
+        arrays, weights = self.mlp_arrays(np.random.default_rng(51), self.LEADS[lead], dtype)
+        if lead == "permuted":
+            assert not arrays[0].flags.c_contiguous
+        assert _tape_bytes(T.mlp, arrays, weights) == _tape_bytes(_composed_mlp, arrays, weights)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mlp_row_wider_than_a_chunk(self, dtype):
+        arrays, weights = self.mlp_arrays(np.random.default_rng(52), (3,), dtype, hidden=T._PHI_CHUNK + 3, d=2)
+        assert _tape_bytes(T.mlp, arrays, weights) == _tape_bytes(_composed_mlp, arrays, weights)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("special", ["inf", "nan", "far"])
+    def test_mlp_special_pre_activations(self, dtype, special):
+        arrays, weights = self.mlp_arrays(np.random.default_rng(53), (40,), dtype, hidden=8)
+        arrays[2][:] = {"inf": [np.inf, -np.inf, 0.5, -0.5, np.inf, 0.0, -np.inf, 1.0],
+                        "nan": [np.nan, 0.5, -0.5, 0.0, 1.0, -1.0, 2.0, -2.0],
+                        "far": [4.0, -4.0, 1.7, -1.7, 9.0, -9.0, 1e20, -1e20]}[special]
+        with np.errstate(all="ignore"):
+            assert _tape_bytes(T.mlp, arrays, weights) == _tape_bytes(_composed_mlp, arrays, weights)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_linear_equals_composition_bitwise(self, dtype, lead):
+        arrays, weights = self.mlp_arrays(np.random.default_rng(54), self.LEADS[lead], dtype, n=self.HIDDEN)
+        x, w, b = arrays[:3]  # x (..., 5) @ w (5, 64) + b (64,), weighted like the (..., 64) output
+        assert _tape_bytes(T.linear, [x, w, b], weights) == _tape_bytes(_composed_linear, [x, w, b], weights)
+
+    def test_layers_are_one_node_each(self):
+        from xfmr.layers import Linear, Mlp
+
+        r = np.random.default_rng(55)
+        x = Tensor(r.standard_normal((2, 3, 4)), requires_grad=True)
+        lin, mlp = Linear(r, 4, 5, np.float64), Mlp(r, 4, 8, np.float64)
+        assert lin(x)._parents == (x, lin.w, lin.b)
+        assert mlp(x)._parents == (x, mlp.fc1.w, mlp.fc1.b, mlp.fc2.w, mlp.fc2.b)
+
+    def test_macs_counted(self):
+        r = np.random.default_rng(56)
+        x = Tensor(r.standard_normal((2, 3, 4)))
+        w1, b1, w2, b2 = (Tensor(r.standard_normal(s)) for s in ((4, 8), (8,), (8, 5), (5,)))
+        with T.count_macs() as c:
+            T.linear(x, w1, b1)
+        assert c.macs == 6 * 4 * 8
+        with T.count_macs() as c:
+            T.mlp(x, w1, b1, w2, b2)
+        assert c.macs == 6 * 8 * (4 + 5)
+
+    def test_shape_errors(self):
+        r = np.random.default_rng(57)
+        x, w, b = Tensor(r.standard_normal((3, 4))), Tensor(r.standard_normal((4, 5))), Tensor(np.zeros(5))
+        for args in ((x, w, Tensor(np.zeros(4))), (x, Tensor(np.zeros((5, 5))), b), (x, Tensor(np.zeros((4, 5, 1))), b)):
+            with pytest.raises(T.ShapeError):
+                T.linear(*args)
+        with pytest.raises(T.ShapeError):
+            T.mlp(x, w, b, Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+
+    def test_warnings_match_composition_when_bias_add_overflows(self):
+        # the fc1 bias add overflows to inf in some entries and leaves others
+        # huge; both paths warn of it first, then of the same later faults in
+        # the same order (one GELU chunk here, so the counts agree too)
+        r = np.random.default_rng(58)
+        f32 = np.float32
+        arrays = [r.standard_normal((40, 5)).astype(f32), (r.standard_normal((5, 8)) * 1e37).astype(f32),
+                  np.full(8, 3.3e38, f32), r.standard_normal((8, 3)).astype(f32), r.standard_normal(3).astype(f32)]
+
+        def warned(fwd):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fwd(*inputs).sum().backward()
+            return [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+        seen = warned(T.mlp)
+        assert seen[0] == "overflow encountered in add"
+        assert seen == warned(_composed_mlp)
+
+
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
         p = T.softmax_lastdim(Tensor(np.full((2, 5), 3.25)))
@@ -256,6 +388,26 @@ class TestSoftmax:
         assert p[[0, 3]].tobytes() == finite.tobytes()
         shifted = np.exp(x[[0, 3]] - x[[0, 3]].max(-1, keepdims=True))
         np.testing.assert_allclose(finite, shifted / shifted.sum(-1, keepdims=True), rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_log_softmax_fully_masked_row(self, dtype):
+        # all -inf gives -inf and a zero gradient, NaN gives NaN, and finite
+        # rows give the shifted log-sum-exp, all without a RuntimeWarning
+        x = np.array([[-np.inf, -np.inf], [0.25, 1.5], [np.nan, 1.0], [-np.inf, 2.0]], dtype)
+        g = (np.random.default_rng(41).random(x.shape) + 0.5).astype(dtype)  # > 0: no -inf + inf in the loss
+        t = Tensor(x, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.log_softmax_lastdim(t)
+            (out * Tensor(g)).sum().backward()
+        assert out.data[0].tobytes() == np.full(2, -np.inf, dtype).tobytes()
+        assert t.grad[0].tobytes() == np.zeros(2, dtype).tobytes()
+        assert np.isnan(out.data[2]).all() and np.isnan(t.grad[2]).all()
+        z = x[[1, 3]] - x[[1, 3]].max(-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
+        assert out.data[[1, 3]].tobytes() == logp.tobytes()
+        grad = g[[1, 3]] - np.exp(logp) * g[[1, 3]].sum(-1, keepdims=True)
+        assert t.grad[[1, 3]].tobytes() == grad.tobytes()
 
     @given(st.floats(-50, 50))
     @settings(max_examples=25, deadline=None)
@@ -552,7 +704,8 @@ class TestStandardLayers:
     def test_gelu_float32_grad_uses_forward_phi(self):
         x = (np.random.default_rng(5).standard_normal(5000) * 2).astype(np.float32)
         g = np.random.default_rng(6).standard_normal(x.shape).astype(np.float32)
-        phi, _ = T._phi_f32(x)
+        phi = np.empty_like(x)
+        T._phi(x, phi, np.empty_like(x))
         dens = np.exp(-0.5 * x * x) * 0.3989422804014327
         t = Tensor(x, requires_grad=True)
         out = T.gelu(t)
@@ -576,6 +729,21 @@ class TestStandardLayers:
         rep = grad_check(
             lambda: (lin(x) * 0.7).sum(),
             [("x", x), ("w", lin.w), ("b", lin.b)],
+            tol=1e-6,
+        )
+        assert rep.passed, rep.summary()
+
+    def test_mlp_gradcheck(self):
+        from xfmr.layers import Mlp
+
+        r = np.random.default_rng(0)
+        mlp = Mlp(r, 4, 6, dtype=np.float64)
+        mlp.fc1.w.data *= 50.0  # pre-activations of order 1, where GELU bends
+        mlp.fc1.b.data = r.standard_normal(6)
+        x = Tensor(r.standard_normal((2, 5, 4)), requires_grad=True)
+        rep = grad_check(
+            lambda: (mlp(x) * 0.7).sum(),
+            [("x", x), ("fc1.w", mlp.fc1.w), ("fc1.b", mlp.fc1.b), ("fc2.w", mlp.fc2.w), ("fc2.b", mlp.fc2.b)],
             tol=1e-6,
         )
         assert rep.passed, rep.summary()
