@@ -4,6 +4,9 @@ A Tensor wraps a numpy array (float32 for speed paths, float64 for
 verification paths) and, when gradients are enabled, records the operation
 that produced it so that ``backward()`` can replay the tape in reverse.
 Only the operations the model actually needs are implemented.
+
+The float32 engine needs numpy only. float64 GELU loads scipy's erf on first
+use, so that the verification path is scipy's formula byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf, ndtr
 
 __all__ = [
     "Tensor",
@@ -42,11 +44,24 @@ _GRAD_ENABLED = True
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
-# float32 Φ(x) = 0.5 + x·P(x²) for |x| ≤ _PHI_POLY_MAX, scipy's ndtr beyond.
+# float32 Φ(x) = 0.5 + x·P(x²) for |x| ≤ _PHI_POLY_MAX, `_ndtr_tail` beyond.
 # P (highest degree first) is a weighted minimax fit to f64 ndtr; its own
 # relative error on x·Φ(x) is 4e-9, far below float32 rounding.
 _PHI_POLY_MAX = 1.5
 _PHI_POLY = (3.8711164e-07, -8.534946e-06, 1.13824084e-04, -1.18574e-03, 9.972722e-03, -6.649018e-02, 0.39894226)
+# cephes' erfc(z) = exp(-z²)·P(z)/Q(z) for 1 ≤ z < 8 and exp(-z²)·R(z)/S(z)
+# beyond, as scipy's ndtr evaluates it; highest degree first. Q and S are
+# monic: their leading 1 makes polevl p1evl exactly (1·z = z).
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _PHI_CHUNK = 32768  # values per pass, so that a chunk and its scratch stay in cache
 _NARROW_MAX = 16  # widest rows whose maximum is taken column by column
 
@@ -310,29 +325,64 @@ def relu(t: Tensor) -> Tensor:
 def _phi(x: np.ndarray, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Standard normal CDF of a flat chunk ``x`` into ``phi``, ``u`` being
     scratch of the same size; returns the indices of ``x``'s infinite entries.
-    float64 computes 0.5·(1 + erf(x/√2)) with scipy's erf, float32 the
-    polynomial for |x| ≤ _PHI_POLY_MAX, in place, and scipy's ndtr beyond."""
+    float64 computes 0.5·(1 + erf(x/√2)) with scipy's erf, imported on first
+    use; float32 needs numpy only: the polynomial for |x| ≤ _PHI_POLY_MAX, in
+    place, and `_ndtr_tail` beyond, which gives scipy's float32 ndtr bitwise."""
     if x.dtype != np.float32:
+        from scipy.special import erf
+
         np.multiply(x, _INV_SQRT2, out=phi)
         erf(phi, out=phi)
         phi += 1.0
         phi *= 0.5
         return np.flatnonzero(np.isinf(x))
-    with np.errstate(over="ignore"):  # P overflows at huge |x|; ndtr overwrites those
+    with np.errstate(over="ignore"):  # P overflows at huge |x|; the tail overwrites those
         np.multiply(x, x, out=u)
-        np.multiply(u, _PHI_POLY[0], out=phi)
-        for c in _PHI_POLY[1:-1]:
-            phi += c
-            phi *= u
-        phi += _PHI_POLY[-1]
+        _polevl(u, _PHI_POLY, out=phi)
         phi *= x
         phi += 0.5
         if u.max() <= _PHI_POLY_MAX * _PHI_POLY_MAX:  # False also when a NaN makes the max NaN
             return np.empty(0, np.intp)
         far = np.flatnonzero(u > _PHI_POLY_MAX * _PHI_POLY_MAX)
-        xfar = x[far]
-        phi[far] = ndtr(xfar)
+    xfar = x[far]
+    phi[far] = _ndtr_tail(xfar)
     return far[np.isinf(xfar)]
+
+
+def _polevl(z: np.ndarray, coefs: tuple[float, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """The polynomial ``coefs`` (highest degree first) at ``z`` by Horner,
+    in cephes polevl's order, into ``out`` or a new array."""
+    y = np.multiply(z, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        y += c
+        y *= z
+    y += coefs[-1]
+    return y
+
+
+def _ndtr_tail(a: np.ndarray) -> np.ndarray:
+    """scipy's ndtr of the float32 values ``a``, each |a| > 1, in float64:
+    cephes' erfc branch, y = 0.5·erfc(z) with z = |a|/√2, and 1 - y where
+    a > 0. Rounded to float32 it is scipy's float32 ndtr bit for bit."""
+    z = np.abs(a, dtype=np.float64)
+    z *= _INV_SQRT2
+    np.minimum(z, 1e39, out=z)  # ±inf: beyond every finite float32, where y is 0 and Φ 0 or 1
+    y = z * z
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    if z.max(initial=0.0) < 8.0:  # `a` is empty when a NaN alone sent _phi here
+        num, den = _polevl(z, _ERFC_P), _polevl(z, _ERFC_Q)
+    else:
+        big = z >= 8.0
+        num, den = np.empty_like(z), np.empty_like(z)
+        for part, p, q in ((~big, _ERFC_P, _ERFC_Q), (big, _ERFC_R, _ERFC_S)):
+            num[part] = _polevl(z[part], p)
+            den[part] = _polevl(z[part], q)
+    y *= num
+    y /= den
+    y *= 0.5
+    np.subtract(1.0, y, out=y, where=a > 0)
+    return y
 
 
 def _gelu_rows(h: np.ndarray, out: np.ndarray, slope: np.ndarray | None, bias: np.ndarray | None = None) -> None:
@@ -378,9 +428,10 @@ def gelu(t: Tensor) -> Tensor:
 
     One tape node that keeps its slope Φ + x·φ(x), computed with the value,
     and no other array. float64 computes Φ as 0.5·(1 + erf(x/√2)) with
-    scipy's erf. float32 uses a polynomial (see `_phi`): against f64
-    x·ndtr(x) its output is within 3.9e-7 absolute everywhere and 14 ulp for
-    |x| ≤ 3. At ±inf the value and the slope are their limits, -0 and 0 at
+    scipy's erf, loaded on first use. float32 needs numpy only (see `_phi`):
+    a polynomial for |x| ≤ 1.5 and a port of scipy's ndtr beyond; against
+    f64 x·ndtr(x) its output is within 3.9e-7 absolute everywhere and 14 ulp
+    for |x| ≤ 3. At ±inf the value and the slope are their limits, -0 and 0 at
     -inf, inf and 1 at +inf.
     """
     x = t.data

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -685,6 +689,57 @@ class TestStandardLayers:
         assert signed_zero.tobytes() == np.array([0.0, -0.0], f32).tobytes()
         assert huge.tobytes() == np.array([3e38, -0.0, 1e20, -0.0, np.nan, np.inf], f32).tobytes()
         assert neg_inf.tobytes() == np.array([-0.0], f32).tobytes()
+
+    def test_float32_far_tail_is_scipy_ndtr_bitwise(self):
+        # beyond |x| = 1.5, float32 Φ is a numpy port of scipy's ndtr; checked
+        # exhaustively on every finite float32 when written, sampled here
+        from scipy.special import ndtr
+
+        f32 = np.float32
+        strided = np.arange(0x3FC00001, 0x7F800000, 4099, dtype=np.uint32)  # 1.5 < |x| < inf
+        largest = np.arange(0x7F7FFFF0, 0x7F800000, dtype=np.uint32)
+        subnormal = np.arange(0xC1500001, 0xC1680000, 7, dtype=np.uint32)  # -14.5 < x < -13
+        x = np.concatenate([
+            strided.view(f32), -strided.view(f32), largest.view(f32), -largest.view(f32),
+            subnormal.view(f32), np.array([np.inf, -np.inf], f32),
+        ])
+        phi = np.empty_like(x)
+        inf = T._phi(x, phi, np.empty_like(x))
+        ref = ndtr(x)
+        assert ref.dtype == f32 and ((0 < ref) & (ref < np.finfo(f32).tiny)).sum() > 1000
+        assert (phi.view(np.uint32) == ref.view(np.uint32)).all()
+        assert phi[-2:].tolist() == [1.0, 0.0] and inf.tolist() == [x.size - 2, x.size - 1]
+        nan_only = T.gelu(Tensor(np.array([np.nan, 0.5], f32))).data  # a NaN, no far value
+        assert np.isnan(nan_only[0]) and nan_only[1] == T.gelu(Tensor(np.array([0.5], f32))).data[0]
+
+    def test_float32_engine_does_not_load_scipy_special(self):
+        # one float32 toy training step, its GELUs reaching the far tail
+        # (the MLPs' fc1 weights scaled up), leaves scipy.special unloaded;
+        # one float64 gelu loads it
+        probe = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import xfmr.tensor as T",
+            "from xfmr import RunConfig, build_model",
+            "from xfmr.config import to_model_spec",
+            "from xfmr.train import train_toy",
+            "tail, far = T._ndtr_tail, []",
+            "T._ndtr_tail = lambda a: far.append(a.size) or tail(a)",
+            "cfg = RunConfig(variant='toy', classes=4, steps=1, samples=8, batch=8, seed=0)",
+            "model = build_model(to_model_spec(cfg), seed=0)",
+            "for name, p in model.named_parameters():",
+            "    if name.endswith('mlp.fc1.w'):",
+            "        p.data *= 4",
+            "train_toy(cfg, model=model, stop_when_perfect=False)",
+            "assert sum(far) > 0, far",
+            "assert 'scipy.special' not in sys.modules",
+            "T.gelu(T.Tensor(np.ones(3)))",
+            "assert 'scipy.special' in sys.modules",
+        ])
+        src = str(Path(T.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_infinities_take_the_limits(self, dtype):

@@ -90,7 +90,8 @@ class TestTrainToy:
         assert min(result.losses) < result.losses[0]
 
     def test_divergence_detected(self):
-        with pytest.raises(DivergenceError):
+        # the blown-up weights overflow conv2d's shift-add before the loss turns non-finite
+        with pytest.raises(DivergenceError), pytest.warns(RuntimeWarning, match="overflow"):
             train_toy(short_cfg(lr=1e6, steps=60), stop_when_perfect=False)
 
     def test_minibatch_path(self):
