@@ -17,7 +17,7 @@ from .bias import (
     RelativePositionBias,
     bake_to_table,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, load_model, save_checkpoint
 from .config import RunConfig, emit_config, parse_config, to_model_spec
 from .data import synth_dataset
 from .embed import CelSpec, ConfigError, CrossScaleEmbedding, allocate_dims
@@ -66,6 +66,7 @@ __all__ = [
     "grad_check",
     "group",
     "load_checkpoint",
+    "load_model",
     "model_forward",
     "no_grad",
     "parse_config",

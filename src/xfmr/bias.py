@@ -119,15 +119,10 @@ class DynamicPositionBias(Module):
 class RelativePositionBias(Module):
     """Learned bias table over a fixed offset range; errors beyond it."""
 
-    def __init__(self, rng, heads: int, max_slots_h: int, max_slots_w: int, dtype=np.float32,
-                 table: np.ndarray | None = None):
+    def __init__(self, rng, heads: int, max_slots_h: int, max_slots_w: int, dtype=np.float32):
         self.heads = heads
         shape = (2 * max_slots_h - 1, 2 * max_slots_w - 1, heads)
-        if table is None:
-            table = trunc_normal(rng, shape, dtype=dtype)
-        elif table.shape != shape:
-            raise ValueError(f"table shape {table.shape} does not match {shape}")
-        self.table = Tensor(np.array(table), requires_grad=True)
+        self.table = Tensor(trunc_normal(rng, shape, dtype=dtype), requires_grad=True)
 
     def bias_matrix(self, layout: GroupLayout) -> Tensor:
         return _slot_pair_bias(self.table, layout)
@@ -156,8 +151,7 @@ def bake_to_table(dpb: DynamicPositionBias, slots_h: int, slots_w: int) -> Relat
     so attention outputs are bit-identical at the same precision; the table
     then inherits the fixed-range restriction.
     """
+    baked = RelativePositionBias(None, dpb.heads, slots_h, slots_w, dtype=dpb.dtype)
     with T.no_grad():
-        table = dpb.table(slots_h, slots_w).data
-    return RelativePositionBias(
-        None, dpb.heads, slots_h, slots_w, dtype=table.dtype, table=table
-    )
+        baked.table.data = dpb.table(slots_h, slots_w).data
+    return baked

@@ -10,10 +10,11 @@ Layout (all integers little-endian):
                    rank u8 (at most 32), extents u64 * rank, row-major payload
     trailer        u32 CRC32 of every preceding byte
 
-`save_checkpoint` writes version 2 only when given a config, so weight-only
-files stay byte-identical to version 1. It checks every entry before it
-opens the file, so a refused save writes nothing, and then streams each
-header piece and payload straight to the file with a running CRC.
+`save_checkpoint` writes version 2 only when given a config; `train-toy` and
+`bake-dpb` always give one. Without a config it writes version 1, weights
+only, as the benchmark's input writer still does. It checks every entry
+before it opens the file, so a refused save writes nothing, and then streams
+each header piece and payload straight to the file with a running CRC.
 
 `read_checkpoint` streams too: it reads the header fields with small reads
 and each payload straight into its own freshly allocated array, so no second
@@ -23,6 +24,10 @@ returned. Errors come in this order: a file shorter than 16 bytes, bad
 magic, a CRC mismatch, then the first malformed field, so a parse error
 that corruption caused is reported as a CRC mismatch. Any malformed file
 raises `CheckpointError`.
+
+`load_model` is the one way to put a checkpoint's weights into a model. It
+needs version 2: it builds the model of the stored config without drawing
+any weights, then points each parameter at its loaded array.
 """
 
 from __future__ import annotations
@@ -35,9 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, emit_config
+from .config import DTYPES, RunConfig, emit_config, parse_config, to_model_spec
+from .model import Classifier
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "read_checkpoint", "MAGIC",
+__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "read_checkpoint", "load_model", "MAGIC",
            "FORMAT_VERSION"]
 
 MAGIC = b"XFMR"
@@ -110,6 +116,31 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str | None
     if error is not None:
         raise error
     return result
+
+
+def load_model(path: str | Path) -> tuple[Classifier, RunConfig]:
+    """The model of a version-2 checkpoint and its stored config. Every
+    parameter must match a tensor of the file in name, shape and dtype, and
+    every tensor a parameter; the parameters then hold the loaded arrays."""
+    entries, text = read_checkpoint(path)
+    if text is None:
+        raise CheckpointError(f"{path} has no stored config (format version 1)")
+    cfg = parse_config(text)
+    model = Classifier(to_model_spec(cfg), None, DTYPES[cfg.dtype])
+    params = dict(model.named_parameters())
+    built = "the model built from the checkpoint's stored config"
+    for name, param in params.items():
+        if name not in entries:
+            raise CheckpointError(f"checkpoint lacks tensor {name} of {built}")
+        arr = entries[name]
+        for what, got, want in (("shape", arr.shape, param.data.shape), ("dtype", arr.dtype, param.data.dtype)):
+            if got != want:
+                raise CheckpointError(f"checkpoint tensor {name} has {what} {got}, {built} expects {want}")
+        param.data = arr
+    extra = next((name for name in entries if name not in params), None)
+    if extra is not None:
+        raise CheckpointError(f"checkpoint tensor {extra} is not a parameter of {built}")
+    return model, cfg
 
 
 def _parse(body: _Body) -> tuple[dict[str, np.ndarray], str | None]:

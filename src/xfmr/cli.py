@@ -11,19 +11,19 @@ import io
 import math
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import tensor as T
 from .analysis import check_against_targets, count_flops, count_params
 from .bias import BIAS_KINDS, BiasRangeError, bake_to_table
-from .checkpoint import CheckpointError, read_checkpoint, save_checkpoint
-from .config import TOY_TRAINING, RunConfig, emit_config, load_config, parse_config, to_model_spec
+from .checkpoint import CheckpointError, load_model, save_checkpoint
+from .config import TOY_TRAINING, RunConfig, emit_config, load_config, to_model_spec
 from .embed import ConfigError
 from .gradcheck import GradCheckError, grad_check
 from .model import (ATTENTION_MODES, CEL_KERNELS, TASKS, VARIANT_CHOICES, VARIANT_NAMES, build_model,
-                    build_variant, canonical_variant, toy_spec)
+                    build_variant, toy_spec)
 from .tensor import ShapeError, Tensor, cross_entropy
 from .train import DivergenceError, train_toy
 
@@ -32,41 +32,20 @@ USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 GRADCHECK_PARAM_LIMIT = 2_000_000
 
 
-# RunConfig field -> the flag that sets it; each flag's dest is its field
-_FLAGS = {"variant": "--variant", "task": "--task", "bias": "--bias", "attention": "--attn", "cel": "--cel",
-          "seed": "--seed", "input_size": "--size", "steps": "--steps"}
+# the RunConfig fields that flags set; each flag's dest is its field
+_FLAG_FIELDS = ("variant", "task", "bias", "attention", "cel", "seed", "input_size", "steps")
 
 
 def _flag_updates(args) -> dict[str, object]:
     """RunConfig field -> value for every config flag given."""
     return {name: tuple(v) if isinstance(v, list) else v
-            for name in _FLAGS if (v := getattr(args, name, None)) is not None}
+            for name in _FLAG_FIELDS if (v := getattr(args, name, None)) is not None}
 
 
-def _config_from_args(args, base: RunConfig | None = None) -> RunConfig:
-    """``--config`` (else ``base``, else the defaults) with the flags on top."""
-    if getattr(args, "config", None):
-        base = load_config(args.config)
-    elif base is None:
-        base = RunConfig()
+def _config_from_args(args) -> RunConfig:
+    """``--config`` (else the defaults) with the flags on top."""
+    base = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     return replace(base, **_flag_updates(args))
-
-
-def _stored_config_conflict(args, stored: RunConfig) -> str | None:
-    """One line naming the first flag that changes a stored config, or None."""
-    cfg = _config_from_args(args, base=stored)
-    flags = _flag_updates(args)
-    for f in fields(RunConfig):
-        given, kept = getattr(cfg, f.name), getattr(stored, f.name)
-        if f.name == "variant" and canonical_variant(given) == canonical_variant(kept):
-            continue
-        if given != kept:
-            given, kept = (" ".join(map(str, v)) if isinstance(v, tuple) else v for v in (given, kept))
-            what = (f"{_FLAGS[f.name]} {given}" if f.name in flags
-                    else f"--config {args.config} ({f.name} = {given})")
-            return (f"{what} disagrees with the checkpoint's stored config ({f.name} = {kept}); "
-                    f"drop it, the stored config builds the model")
-    return None
 
 
 def _stage_table(spec) -> str:
@@ -199,39 +178,13 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_bake_dpb(args) -> int:
-    entries, stored = read_checkpoint(args.checkpoint)
-    if stored is None:
-        cfg = _config_from_args(args)
-    else:
-        cfg = parse_config(stored)
-        conflict = _stored_config_conflict(args, cfg)
-        if conflict:
-            print(conflict, file=sys.stderr)
-            return USAGE_ERROR
+    model, cfg = load_model(args.checkpoint)
     if cfg.bias not in ("dpb", "dpb-res") or cfg.attention == "pvt-like":
         print("bake-dpb requires a dynamic-position-bias configuration", file=sys.stderr)
         return USAGE_ERROR
-    spec = to_model_spec(cfg)
-    model = build_model(spec, seed=cfg.seed)
-    named = dict(model.named_parameters())
-    if not any(".bias.fc_in." in name for name in entries):
-        print("checkpoint does not contain dynamic-position-bias weights", file=sys.stderr)
-        return USAGE_ERROR
-    source = "the flags" if stored is None else "the checkpoint's stored config"
-    hint = "; pass the training config with --config" if stored is None else ""
-    for name, param in named.items():
-        if name not in entries:
-            print(f"checkpoint lacks tensor {name} of the model built from {source}{hint}", file=sys.stderr)
-            return USAGE_ERROR
-        if entries[name].shape != param.data.shape:
-            print(f"checkpoint tensor {name} has shape {entries[name].shape}, the model built from "
-                  f"{source} expects {param.data.shape}{hint}", file=sys.stderr)
-            return USAGE_ERROR
-    for name, param in named.items():
-        param.data = entries[name].astype(param.data.dtype, copy=False)
 
     rng = np.random.default_rng(cfg.seed)
-    x = Tensor(rng.standard_normal((1, *spec.input_size, 3)).astype(np.float32))
+    x = Tensor(rng.standard_normal((1, *model.spec.input_size, 3)).astype(np.float32))
     with T.no_grad():
         live = model(x).data.copy()
 
@@ -243,7 +196,8 @@ def cmd_bake_dpb(args) -> int:
     diff = float(np.abs(live - frozen).max())
     print(f"forward diff between dynamic and baked bias: {diff:.3e}")
 
-    save_checkpoint(args.out, {name: p.data for name, p in model.named_parameters()})
+    save_checkpoint(args.out, {name: p.data for name, p in model.named_parameters()},
+                    config=replace(cfg, bias="rpb"))
     print(f"baked checkpoint written to {args.out}")
     return OK if diff <= 1e-6 else CHECK_FAILED
 
@@ -302,11 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_train_toy)
 
-    text = ("freeze dynamic position bias into fixed tables; the model comes from the "
-            "checkpoint's stored config when it has one (train-toy records it), and flags that "
-            "disagree with it are refused; else from the flags")
+    text = ("freeze dynamic position bias into fixed tables; the model comes from the checkpoint's "
+            "stored config, and the output is a checkpoint of that config with bias = rpb")
     p = sub.add_parser("bake-dpb", help=text, description=text)
-    _add_common(p)
     p.add_argument("checkpoint", metavar="CHECKPOINT")
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(fn=cmd_bake_dpb)

@@ -25,16 +25,21 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .bias import BIAS_KINDS
 from .embed import CelSpec, ConfigError
 from .model import (ATTENTION_MODES, CEL_KERNELS, TASKS, VARIANT_CHOICES, VARIANT_NAMES, ModelSpec, StageSpec,
                     build_variant, canonical_variant, toy_spec)
 
-__all__ = ["RunConfig", "TOY_TRAINING", "parse_config", "emit_config", "load_config", "to_model_spec"]
+__all__ = ["RunConfig", "TOY_TRAINING", "DTYPES", "parse_config", "emit_config", "load_config", "to_model_spec"]
+
+# `dtype` value -> the numpy dtype a model of that config computes in
+DTYPES = {"f32": np.float32, "f64": np.float64}
 
 _STAGE_KEYS = ("kernels", "stride", "dim", "heads", "group", "interval", "blocks")
 _CHOICES = {"variant": VARIANT_CHOICES, "task": TASKS, "bias": BIAS_KINDS, "attention": ATTENTION_MODES,
-            "cel": tuple(CEL_KERNELS), "dtype": ("f32", "f64")}
+            "cel": tuple(CEL_KERNELS), "dtype": tuple(DTYPES)}
 
 
 @dataclass(frozen=True)

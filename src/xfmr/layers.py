@@ -10,12 +10,15 @@ from .tensor import Tensor
 __all__ = ["Module", "Linear", "LayerNorm", "Mlp", "trunc_normal", "drop_path_mask"]
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) samples redrawn until they land within +/- 2 std.
+def trunc_normal(rng: np.random.Generator | None, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
+    """Normal(0, std) samples redrawn until they land within +/- 2 std; with
+    ``rng`` None, an uninitialised array for a loader to replace.
 
     Each round redraws only the entries the previous round rejected, in flat
     index order, so the draws land where a whole-tensor rescan would put them.
     """
+    if rng is None:
+        return np.empty(shape, dtype)
     out = rng.standard_normal(shape)
     out *= std
     flat = out.reshape(-1)

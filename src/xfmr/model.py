@@ -252,10 +252,12 @@ class Block(Module):
 
 
 class Classifier(Module):
-    """Full pyramid: 4 x (embedding + blocks), final norm, pooled linear head."""
+    """Full pyramid: 4 x (embedding + blocks), final norm, pooled linear head.
 
-    def __init__(self, spec: ModelSpec, seed: int = 0, dtype=np.float32):
-        rng = np.random.default_rng(seed)
+    Weights are truncated-normal draws from ``rng``; with ``rng`` None they
+    are allocated but not drawn, for a loader to replace."""
+
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator | None, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
         total = spec.total_blocks()
@@ -294,8 +296,9 @@ class Classifier(Module):
 
 
 def build_model(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Classifier:
-    """Instantiate a model with truncated-normal weights, deterministic per seed."""
-    return Classifier(spec, seed=seed, dtype=dtype)
+    """Instantiate a model with truncated-normal weights, deterministic per seed.
+    A trained model comes from `checkpoint.load_model`, which draws nothing."""
+    return Classifier(spec, np.random.default_rng(seed), dtype)
 
 
 def model_forward(model: Classifier, images: Tensor | np.ndarray) -> Tensor:

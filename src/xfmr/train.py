@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, to_model_spec
+from .config import DTYPES, RunConfig, to_model_spec
 from .data import synth_dataset
 from .model import Classifier, build_model
 from .tensor import Tensor, cross_entropy, no_grad
@@ -79,7 +79,7 @@ def train_toy(cfg: RunConfig, model: Classifier | None = None,
               stop_when_perfect: bool = True, log=None) -> tuple[Classifier, TrainResult]:
     """Overfit the synthetic dataset; deterministic given cfg.seed."""
     spec = to_model_spec(cfg)
-    dtype = np.float64 if cfg.dtype == "f64" else np.float32
+    dtype = DTYPES[cfg.dtype]
     images, labels = synth_dataset(cfg.seed, cfg.samples, spec.input_size[0], spec.classes)
     images = images.astype(dtype)
     if model is None:

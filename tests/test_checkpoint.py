@@ -198,6 +198,54 @@ def test_v1_has_no_stored_config(tmp_path):
     assert read_checkpoint(path)[1] is None
 
 
+def save_built(path, cfg, dtype=np.float32):
+    """Save the seed model of ``cfg`` at ``dtype`` with ``cfg`` stored; returns its entries."""
+    from xfmr import build_model, to_model_spec
+
+    model = build_model(to_model_spec(cfg), seed=cfg.seed, dtype=dtype)
+    entries = {name: p.data for name, p in model.named_parameters()}
+    save_checkpoint(path, entries, config=cfg)
+    return entries
+
+
+@pytest.mark.parametrize("variant", ["toy", "tiny"])
+def test_load_model_draws_nothing(tmp_path, monkeypatch, variant):
+    import xfmr
+    from xfmr import load_model
+    from xfmr.layers import trunc_normal
+
+    cfg = RunConfig(variant=variant)
+    path = tmp_path / "m.xfmr"
+    entries = save_built(path, cfg)
+
+    def undrawn(rng, *args, **kwargs):
+        assert rng is None, "load_model drew weights"
+        return trunc_normal(rng, *args, **kwargs)
+
+    for module in (xfmr.layers, xfmr.bias, xfmr.embed):
+        monkeypatch.setattr(module, "trunc_normal", undrawn)
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("load_model made a generator"))
+    model, loaded_cfg = load_model(path)
+    monkeypatch.undo()
+    assert loaded_cfg == cfg
+    params = list(model.named_parameters())
+    assert [name for name, _ in params] == list(entries)
+    for name, p in params:
+        assert p.data.dtype == entries[name].dtype and p.data.tobytes() == entries[name].tobytes(), name
+    del model, params, entries
+
+
+def test_load_model_refuses_other_dtype(tmp_path):
+    from xfmr import load_model
+
+    path = tmp_path / "m.xfmr"
+    save_built(path, RunConfig(variant="toy"), dtype=np.float64)  # stores dtype = f32
+    with pytest.raises(CheckpointError) as exc:
+        load_model(path)
+    assert str(exc.value) == ("checkpoint tensor cels.0.kernels.0 has dtype float64, the model built from "
+                              "the checkpoint's stored config expects float32")
+
+
 U32 = st.integers(0, 2**32 - 1)
 U64 = st.integers(0, 2**64 - 1)
 

@@ -10,7 +10,7 @@ import pytest
 
 import xfmr
 import xfmr.tensor as T
-from xfmr import load_checkpoint
+from xfmr import RunConfig, load_checkpoint
 from xfmr.cli import main
 
 from oracles import scaled_backward
@@ -166,6 +166,19 @@ class TestGradcheck:
         assert "toy-scale" in err
 
 
+def save_model(path, cfg, stored=None, drop=(), extra=None):
+    """Save the seed-0 model of ``cfg``, less the tensors named in ``drop``
+    and plus those of ``extra``, with ``stored`` (default ``cfg``) as its
+    stored config (format 2)."""
+    from xfmr import build_model, save_checkpoint, to_model_spec
+    from xfmr.config import DTYPES
+
+    model = build_model(to_model_spec(cfg), seed=0, dtype=DTYPES[cfg.dtype])
+    entries = {n: p.data for n, p in model.named_parameters() if n not in drop}
+    save_checkpoint(path, {**entries, **(extra or {})}, config=stored or cfg)
+    return path
+
+
 class TestTrainAndBake:
     def test_train_bake_cycle(self, capsys, tmp_path, toy_training_run):
         code, out, ckpt = toy_training_run  # train-toy --seed 0 --steps 500 --out ckpt
@@ -175,8 +188,7 @@ class TestTrainAndBake:
         assert any(name.endswith("head.w") for name in entries)
 
         baked = tmp_path / "baked.xfmr"
-        code, out, _ = run(capsys, "bake-dpb", "--variant", "toy", "--seed", "0",
-                           str(ckpt), "--out", str(baked))
+        code, out, _ = run(capsys, "bake-dpb", str(ckpt), "--out", str(baked))
         assert code == 0
         assert "forward diff" in out
         assert "0.000e+00" in out
@@ -184,91 +196,104 @@ class TestTrainAndBake:
         assert any(".attn.bias.table" in name for name in frozen)
         assert not any(".attn.bias.fc_in" in name for name in frozen)
 
-    def test_bake_rejects_non_dpb_config(self, capsys, tmp_path):
-        from xfmr import build_model, save_checkpoint, toy_spec
+    def test_baked_checkpoint_loads_as_the_live_model(self, capsys, tmp_path, toy_training_run):
+        from xfmr import BiasRangeError, load_model, model_forward
 
-        model = build_model(toy_spec(), seed=0)
-        path = tmp_path / "toy.xfmr"
-        save_checkpoint(path, {n: p.data for n, p in model.named_parameters()})
-        code, out, err = run(capsys, "bake-dpb", "--variant", "toy", "--bias", "rpb",
-                             str(path), "--out", str(tmp_path / "y.xfmr"))
+        ckpt = toy_training_run[2]
+        baked = tmp_path / "baked.xfmr"
+        assert run(capsys, "bake-dpb", str(ckpt), "--out", str(baked))[0] == 0
+        live, cfg = load_model(ckpt)
+        frozen, baked_cfg = load_model(baked)
+        assert baked_cfg == replace(cfg, bias="rpb")
+        x = np.random.default_rng(9).standard_normal((2, 64, 64, 3)).astype(np.float32)
+        assert model_forward(frozen, x).data.tobytes() == model_forward(live, x).data.tobytes()
+        model_forward(live, np.zeros((1, 96, 96, 3), np.float32))  # the live bias serves any size
+        with pytest.raises(BiasRangeError, match="bias table only covers"):
+            model_forward(frozen, np.zeros((1, 96, 96, 3), np.float32))
+
+    def test_bake_rejects_non_dpb_config(self, capsys, tmp_path):
+        path = save_model(tmp_path / "toy.xfmr", RunConfig(variant="toy", bias="rpb"))
+        code, out, err = run(capsys, "bake-dpb", str(path), "--out", str(tmp_path / "y.xfmr"))
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["bake-dpb requires a dynamic-position-bias configuration"]
         assert not (tmp_path / "y.xfmr").exists()
 
     def test_bake_rejects_non_dpb_checkpoint(self, capsys, tmp_path):
-        from xfmr import build_model, save_checkpoint, toy_spec
-
-        model = build_model(replace(toy_spec(), classes=4, bias_kind="rpb"), seed=0)
-        path = tmp_path / "rpb.xfmr"
-        save_checkpoint(path, {n: p.data for n, p in model.named_parameters()})
-        code, _, err = run(capsys, "bake-dpb", "--variant", "toy",
-                           str(path), "--out", str(tmp_path / "o.xfmr"))
+        cfg = RunConfig(variant="toy", classes=4)
+        path = save_model(tmp_path / "rpb.xfmr", replace(cfg, bias="rpb"), stored=cfg)
+        code, out, err = run(capsys, "bake-dpb", str(path), "--out", str(tmp_path / "o.xfmr"))
         assert code == 2
-        assert "dynamic-position-bias" in err
-
+        assert out == ""
+        assert err.splitlines() == ["error: checkpoint lacks tensor stages.0.0.attn.bias.fc_in.w of the model "
+                                    "built from the checkpoint's stored config"]
 
     def test_bake_rebuilds_from_stored_config(self, capsys, tmp_path):
-        from xfmr import RunConfig, build_model, save_checkpoint, to_model_spec
-
-        cfg = RunConfig(variant="toy", classes=4)
-        model = build_model(to_model_spec(cfg), seed=0)
-        path = tmp_path / "toy4.xfmr"
-        save_checkpoint(path, {n: p.data for n, p in model.named_parameters()}, config=cfg)
-        code, out, _ = run(capsys, "bake-dpb", "--variant", "toy",
-                           str(path), "--out", str(tmp_path / "o.xfmr"))
+        path = save_model(tmp_path / "toy4.xfmr", RunConfig(variant="toy", classes=4))
+        code, out, _ = run(capsys, "bake-dpb", str(path), "--out", str(tmp_path / "o.xfmr"))
         assert code == 0
         assert "0.000e+00" in out
 
     def test_bake_refuses_flags_that_change_stored_config(self, capsys, tmp_path):
-        from xfmr import RunConfig, build_model, emit_config, save_checkpoint, to_model_spec
-
-        cfg = RunConfig(variant="toy", classes=4)
-        model = build_model(to_model_spec(cfg), seed=0)
-        path = tmp_path / "toy4.xfmr"
-        save_checkpoint(path, {n: p.data for n, p in model.named_parameters()}, config=cfg)
+        path = save_model(tmp_path / "toy4.xfmr", RunConfig(variant="toy", classes=4))
         out = str(tmp_path / "o.xfmr")
-        code, _, err = run(capsys, "bake-dpb", "--bias", "rpb", str(path), "--out", out)
-        assert code == 2
-        assert len(err.strip().splitlines()) == 1
-        assert "--bias rpb" in err and "bias = dpb" in err
+        for flags in (("--bias", "rpb"), ("--variant", "toy"), ("--seed", "0"), ("--config", str(path))):
+            with pytest.raises(SystemExit) as exc:
+                main(["bake-dpb", *flags, str(path), "--out", out])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not Path(out).exists()
 
-        other = tmp_path / "other.cfg"
-        other.write_text(emit_config(RunConfig(variant="toy", classes=10)))
-        code, _, err = run(capsys, "bake-dpb", "--config", str(other), str(path), "--out", out)
-        assert code == 2
-        assert len(err.strip().splitlines()) == 1
-        assert "classes = 10" in err and "classes = 4" in err
-
-        code, _, _ = run(capsys, "bake-dpb", "--bias", "dpb", "--seed", "0", str(path), "--out", out)
-        assert code == 0
-
-    def test_bake_v1_mismatch_names_shapes(self, capsys, tmp_path):
-        from xfmr import build_model, save_checkpoint, toy_spec
-
-        model = build_model(replace(toy_spec(), classes=4), seed=0)
-        path = tmp_path / "v1.xfmr"
-        save_checkpoint(path, {n: p.data for n, p in model.named_parameters()})
-        code, _, err = run(capsys, "bake-dpb", "--variant", "toy",
-                           str(path), "--out", str(tmp_path / "o.xfmr"))
+    def test_bake_mismatch_names_shapes(self, capsys, tmp_path):
+        path = save_model(tmp_path / "toy.xfmr", RunConfig(variant="toy", classes=4), stored=RunConfig(variant="toy"))
+        code, _, err = run(capsys, "bake-dpb", str(path), "--out", str(tmp_path / "o.xfmr"))
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert "head.w" in err and "(128, 4)" in err and "(128, 10)" in err
-        assert "--config" in err
+        assert "--config" not in err
 
-    def test_bake_v1_missing_tensor_asks_for_config(self, capsys, tmp_path):
-        from xfmr import build_model, save_checkpoint, toy_spec
-
-        model = build_model(toy_spec(), seed=0)
-        path = tmp_path / "v1.xfmr"
-        save_checkpoint(path, {n: p.data for n, p in model.named_parameters() if n != "head.b"})
-        code, out, err = run(capsys, "bake-dpb", "--variant", "toy",
-                             str(path), "--out", str(tmp_path / "o.xfmr"))
+    def test_bake_missing_tensor_names_it(self, capsys, tmp_path):
+        path = save_model(tmp_path / "toy.xfmr", RunConfig(variant="toy"), drop=("head.b",))
+        code, out, err = run(capsys, "bake-dpb", str(path), "--out", str(tmp_path / "o.xfmr"))
         assert code == 2
         assert out == ""
-        assert err.splitlines() == ["checkpoint lacks tensor head.b of the model built from the flags; "
-                                    "pass the training config with --config"]
+        assert err.splitlines() == ["error: checkpoint lacks tensor head.b of the model built from the "
+                                    "checkpoint's stored config"]
+
+    def test_bake_refuses_extra_tensor(self, capsys, tmp_path):
+        extra = {"stages.9.0.attn.q_proj.w": np.zeros((16, 16), np.float32)}
+        path = save_model(tmp_path / "toy.xfmr", RunConfig(variant="toy"), extra=extra)
+        code, out, err = run(capsys, "bake-dpb", str(path), "--out", str(tmp_path / "o.xfmr"))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: checkpoint tensor stages.9.0.attn.q_proj.w is not a parameter of "
+                                    "the model built from the checkpoint's stored config"]
+        assert not (tmp_path / "o.xfmr").exists()
+
+    def test_bake_refuses_format_1(self, capsys, tmp_path):
+        from xfmr import build_model, save_checkpoint, toy_spec
+
+        path = tmp_path / "v1.xfmr"
+        save_checkpoint(path, {n: p.data for n, p in build_model(toy_spec(), seed=0).named_parameters()})
+        code, out, err = run(capsys, "bake-dpb", str(path), "--out", str(tmp_path / "o.xfmr"))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "has no stored config" in err
+
+    def test_bake_keeps_float64(self, capsys, tmp_path):
+        from xfmr import emit_config, load_model
+
+        config = tmp_path / "f64.cfg"
+        config.write_text(emit_config(RunConfig(variant="toy", classes=4, steps=3, dtype="f64")))
+        ckpt, baked = tmp_path / "f64.xfmr", tmp_path / "baked.xfmr"
+        run(capsys, "train-toy", "--config", str(config), "--out", str(ckpt))
+        code, out, _ = run(capsys, "bake-dpb", str(ckpt), "--out", str(baked))
+        assert code == 0
+        assert "forward diff between dynamic and baked bias: 0.000e+00" in out
+        entries = load_checkpoint(baked)
+        assert entries and all(arr.dtype == np.float64 for arr in entries.values())
+        assert load_model(baked)[1].dtype == "f64"
 
     def test_bake_rejects_bad_stored_config(self, capsys, tmp_path):
         import struct
