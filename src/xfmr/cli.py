@@ -2,6 +2,8 @@
 verification and toy training.
 
 Exit codes: 0 success, 1 a check failed, 2 usage or configuration error.
+A closed standard output (``xfmr ... | head -1``) stops the command quietly
+with exit code 1, as Python's own exit on a broken pipe; files it wrote stay.
 """
 
 from __future__ import annotations
@@ -9,13 +11,13 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 
-from . import tensor as T
 from .analysis import check_against_targets, count_flops, count_params
 from .bias import BIAS_KINDS, BiasRangeError, bake_to_table
 from .checkpoint import CheckpointError, load_model, save_checkpoint
@@ -23,7 +25,7 @@ from .config import TOY_TRAINING, RunConfig, emit_config, load_config, to_model_
 from .embed import ConfigError
 from .gradcheck import GradCheckError, grad_check
 from .model import (ATTENTION_MODES, CEL_KERNELS, TASKS, VARIANT_CHOICES, VARIANT_NAMES, build_model,
-                    build_variant, toy_spec)
+                    build_variant, model_forward, toy_spec)
 from .tensor import ShapeError, Tensor, cross_entropy
 from .train import DivergenceError, train_toy
 
@@ -108,10 +110,9 @@ def cmd_forward(args) -> int:
     spec = to_model_spec(cfg)
     model = build_model(spec, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    x = Tensor(rng.standard_normal((args.batch, *spec.input_size, 3)).astype(np.float32))
+    x = rng.standard_normal((args.batch, *spec.input_size, 3)).astype(np.float32)
     start = time.perf_counter()
-    with T.no_grad():
-        logits = model(x)
+    logits = model_forward(model, x)
     elapsed = time.perf_counter() - start
     print(f"forward: input {tuple(x.shape)} -> logits {tuple(logits.shape)} in {elapsed:.3f}s")
     print(f"logit mean {logits.data.mean():+.4f}  std {logits.data.std():.4f}  "
@@ -137,7 +138,7 @@ def cmd_gradcheck(args) -> int:
     labels = rng.integers(0, spec.classes, 2)
     train_rng = np.random.default_rng(cfg.seed)
 
-    def loss() -> T.Tensor:
+    def loss() -> Tensor:
         return cross_entropy(model(images, train=False, rng=train_rng), labels)
 
     report = grad_check(
@@ -184,15 +185,13 @@ def cmd_bake_dpb(args) -> int:
         return USAGE_ERROR
 
     rng = np.random.default_rng(cfg.seed)
-    x = Tensor(rng.standard_normal((1, *model.spec.input_size, 3)).astype(np.float32))
-    with T.no_grad():
-        live = model(x).data.copy()
+    x = rng.standard_normal((1, *model.spec.input_size, 3)).astype(np.float32)
+    live = model_forward(model, x).data
 
     for blocks in model.stages:
         for block in blocks:
             block.attn.bias = bake_to_table(block.attn.bias, *block.layout.slots)
-    with T.no_grad():
-        frozen = model(x).data.copy()
+    frozen = model_forward(model, x).data
     diff = float(np.abs(live - frozen).max())
     print(f"forward diff between dynamic and baked bias: {diff:.3e}")
 
@@ -273,7 +272,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: say nothing more, and point stdout at devnull so
+        # that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CHECK_FAILED
     except (ConfigError, CheckpointError, BiasRangeError, GradCheckError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

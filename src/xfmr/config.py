@@ -78,6 +78,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigError(f"{name} = {value} must be at least {low}")
+        if self.input_size is not None and min(self.input_size) < 1:
+            raise ConfigError("input {}x{} must be at least 1x1".format(*self.input_size))
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr = {self.lr} must be a positive finite number")
         if not 0 <= self.weight_decay < math.inf:

@@ -291,7 +291,7 @@ class Classifier(Module):
         """Logits (N, classes) of a batch (N, H, W, 3)."""
         x = self.features(images, train=train, rng=rng)
         x = self.final_norm(x)
-        x = T.mean_pool_hw(x)
+        x = x.mean(axis=(1, 2))
         return self.head(x)
 
 

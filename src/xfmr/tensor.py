@@ -30,14 +30,12 @@ __all__ = [
     "relu",
     "gelu",
     "softmax_lastdim",
-    "log_softmax_lastdim",
     "layer_norm",
     "pad_hw",
     "crop_hw",
     "concat",
     "index_rows",
-    "pick_labels",
-    "mean_pool_hw",
+    "cross_entropy",
 ]
 
 _GRAD_ENABLED = True
@@ -527,52 +525,21 @@ def index_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     return _make(out_data, (t,), _bw)
 
 
-def pick_labels(t: Tensor, labels: np.ndarray) -> Tensor:
-    """Select t[i, labels[i]] for each row of a (N, C) tensor."""
-    labels = np.asarray(labels)
-    rows = np.arange(t.data.shape[0])
-    out_data = t.data[rows, labels]
-
-    def _bw(g):
-        full = np.zeros_like(t.data)
-        full[rows, labels] = g
-        _accumulate(t, full)
-
-    return _make(out_data, (t,), _bw)
-
-
 # -- contractions ----------------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the trailing two axes.
-
-    A 2-D ``b`` (a token-wise weight) is applied to every row of ``a`` as
-    one (M, K) @ (K, N) GEMM, M being the product of ``a``'s leading
-    extents; its two gradients are one GEMM each as well. ``np.matmul``
-    would treat an (N, H, W, K) operand as N·H separate products of only W
-    rows, each reading the whole weight again; on the 7-wide grid of the
-    last stage that ran at a quarter of one GEMM's speed. The folded
-    forward equals ``np.matmul`` bitwise (each output element is the same
-    K-long dot product); the weight gradient sums all rows inside one GEMM
-    instead of per slice, so it rounds differently. Other ranks of ``b``
-    broadcast as ``np.matmul`` does.
-    """
+    """Batched matrix product over the trailing two axes; the leading axes
+    broadcast as ``np.matmul``'s do. Token-wise weights go through ``linear``
+    and ``mlp``, which fold the rows into one GEMM."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul requires rank >= 2 operands")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    fold = b.data.ndim == 2
-    if fold:
-        out_data = _folded(a.data, b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
-    else:
-        out_data = np.matmul(a.data, b.data)
-        _record_macs(out_data.size * a.data.shape[-1])
+    out_data = np.matmul(a.data, b.data)
+    _record_macs(out_data.size * a.data.shape[-1])
 
     def _bw(g):
-        if fold:
-            _folded_grads(_rows(g), a, b)
-            return
         if _needs_grad(a):
             _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         if _needs_grad(b):
@@ -584,7 +551,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _folded(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``a`` (..., K) times a 2-D ``w`` (K, N) as one (M, K) @ (K, N) GEMM, M
     being the product of ``a``'s leading extents; returns the (M, N) product
-    and records its MACs."""
+    and records its MACs. ``np.matmul`` would treat an (N, H, W, K) ``a`` as
+    N·H products of W rows, each reading all of ``w`` again; on the 7-wide
+    grid of the last stage that ran at a quarter of one GEMM's speed."""
     out = _rows(a) @ w
     _record_macs(out.size * w.shape[0])
     return out
@@ -608,9 +577,10 @@ def _check_affine(name: str, shape: tuple[int, ...], w: Tensor, b: Tensor) -> No
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Token-wise affine map ``x @ w + b`` of (..., K) ``x`` as one tape node.
 
-    The output is ``matmul(x, w) + b`` bitwise: the folded GEMM, then the
-    bias added in place. The node keeps only its inputs. The gradients are
-    those of that composition too; the bias gradient is ``add``'s reduction.
+    The output is the folded GEMM, then the bias added in place: bitwise
+    ``matmul(x.reshape(M, K), w).reshape(lead + (N,)) + b``. The node keeps
+    only its inputs. The gradients are those of that composition too; the
+    bias gradient is ``add``'s reduction.
     """
     _check_affine("linear", x.data.shape, w, b)
     out = _folded(x.data, w.data)
@@ -850,27 +820,6 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     return _make(p, (t,), _bw)
 
 
-def log_softmax_lastdim(t: Tensor) -> Tensor:
-    """Log of ``softmax_lastdim``: a row whose logits are all -inf gives -inf
-    and a zero gradient, the log of softmax's zero row; a NaN row gives NaN."""
-    x = t.data
-    m = _row_max(x)
-    masked = m == -np.inf
-    shift = np.where(np.isfinite(m), m, 0.0)
-    z = x - shift
-    s = _row_sum(np.exp(z))
-    s[masked] = 1.0  # log 1 = 0 leaves the row at -inf
-    out_data = z - np.log(s)
-
-    def _bw(g):
-        p = np.exp(out_data)
-        dx = g - p * _row_sum(g)
-        dx[masked[..., 0]] = 0.0
-        _accumulate(t, dx)
-
-    return _make(out_data, (t,), _bw)
-
-
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
@@ -902,12 +851,42 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out_data, (t, gamma, beta), _bw)
 
 
-def mean_pool_hw(t: Tensor) -> Tensor:
-    """Global average pool over the H and W axes of (..., H, W, C)."""
-    return reduce_mean(t, axis=(-3, -2))
+def _log_softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log of ``softmax_lastdim`` and the (..., 1) mask of fully masked rows:
+    a row whose logits are all -inf gives -inf, the log of softmax's zero
+    row; a NaN row gives NaN."""
+    m = _row_max(x)
+    masked = m == -np.inf
+    shift = np.where(np.isfinite(m), m, 0.0)
+    z = x - shift
+    s = _row_sum(np.exp(z))
+    s[masked] = 1.0  # log 1 = 0 leaves the row at -inf
+    return z - np.log(s), masked
+
+
+def _log_softmax_grad(logp: np.ndarray, masked: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of ``_log_softmax`` given its output, its mask and the
+    output's gradient ``g``; zero on fully masked rows."""
+    dx = g - np.exp(logp) * _row_sum(g)
+    dx[masked[..., 0]] = 0.0
+    return dx
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under (N, C) logits."""
-    logp = log_softmax_lastdim(logits)
-    return mul(reduce_mean(pick_labels(logp, labels)), -1.0)
+    """Mean negative log-likelihood of integer labels under (N, C) logits.
+
+    One tape node that keeps the log-probabilities. The loss and the logits
+    gradient take log-softmax, the label pick, the mean and ×(−1) in that
+    order.
+    """
+    rows, labels = np.arange(logits.data.shape[0]), np.asarray(labels)
+    logp, masked = _log_softmax(logits.data)
+    minus_one = np.asarray(-1.0, logp.dtype)
+    out_data = logp[rows, labels].mean() * minus_one
+
+    def _bw(g):
+        full = np.zeros_like(logp)
+        full[rows, labels] = (g * minus_one) / rows.size
+        _accumulate(logits, _log_softmax_grad(logp, masked, full))
+
+    return _make(out_data, (logits,), _bw)

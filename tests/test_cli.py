@@ -31,12 +31,16 @@ def stage_sections(first_kernels: str) -> str:
         for n in (1, 2, 3, 4))
 
 
+def module_env() -> dict[str, str]:
+    """This environment, with the imported ``xfmr``'s source first on PYTHONPATH."""
+    src = str(Path(xfmr.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def run_module(*argv) -> subprocess.CompletedProcess:
     """`python -m xfmr.cli ARGV` in a fresh interpreter, as the console script runs it."""
-    src = str(Path(xfmr.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, "-m", "xfmr.cli", *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=module_env(), timeout=120)
 
 
 def test_module_entry_point_lists_the_commands():
@@ -335,6 +339,7 @@ class TestExitCodes:
         (("count", "--variant", "toy", "--size", "0", "0"), "0x0"),
         (("forward", "--variant", "toy", "--bias", "rpb", "--size", "0", "0"), "0x0"),
         (("count", "--variant", "tiny", "--size", "-224", "-224"), "-224x-224"),
+        (("emit-config", "--size", "0", "-5"), "0x-5"),
     ])
     def test_non_positive_input_size_is_2(self, capsys, argv, size):
         code, out, err = run(capsys, *argv)
@@ -349,6 +354,30 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: input 0x0 must be at least 1x1"]
+
+    @pytest.mark.parametrize("size", ["0 0", "64 -1"])
+    def test_emit_config_refuses_non_positive_config_input_size(self, capsys, tmp_path, size):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(f"input_size = {size}\n")
+        code, out, err = run(capsys, "emit-config", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: input {size.replace(' ', 'x')} must be at least 1x1"]
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_1_without_an_error_line(self, unbuffered):
+        # the pipe's read end is closed before the child starts, so its first
+        # write (or its flush) meets a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**module_env(), "PYTHONUNBUFFERED": unbuffered}  # "" leaves stdout buffered
+        try:
+            done = subprocess.run([sys.executable, "-m", "xfmr.cli", "emit-config"], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
 
     @pytest.mark.parametrize("command", ["count", "forward"])
     def test_kernel_smaller_than_stride_is_2(self, capsys, tmp_path, command):

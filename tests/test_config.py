@@ -37,6 +37,13 @@ def test_emit_parse_roundtrip_default():
     assert parse_config(DEFAULT_TEXT) == cfg
 
 
+@pytest.mark.parametrize("size", [(0, 0), (0, -5), (64, 0), (-224, -224)])
+def test_input_size_below_one_is_refused(size):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(input_size=size)
+    assert str(exc.value) == f"input {size[0]}x{size[1]} must be at least 1x1"
+
+
 def test_emit_parse_roundtrip_custom():
     cfg = RunConfig(
         variant="small",

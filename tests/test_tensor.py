@@ -131,8 +131,14 @@ def _rows_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _linear(a, b):
+    """``linear`` with a zero bias: the token-wise product ``a @ b``."""
+    return T.linear(a, b, Tensor(np.zeros(b.shape[1], b.dtype)))
+
+
 class TestFoldedMatmul:
-    """A 2-D right operand runs as one GEMM over all leading rows of ``a``."""
+    """``linear`` runs its 2-D weight as one GEMM over all leading rows of
+    ``a``; a zero bias leaves the plain token-wise product."""
 
     CASES = {
         "rank3": lambda r: r.standard_normal((2, 5, 6)),
@@ -147,7 +153,7 @@ class TestFoldedMatmul:
         r = np.random.default_rng(7)
         a = self.CASES[case](r).astype(np.float32)
         b = r.standard_normal((6, 5)).astype(np.float32)
-        out = T.matmul(Tensor(a), Tensor(b))
+        out = _linear(Tensor(a), Tensor(b))
         assert out.shape == a.shape[:-1] + (5,) and out.dtype == np.float32
         np.testing.assert_allclose(out.data, _rows_times(a, b), rtol=1e-5, atol=1e-5)
 
@@ -159,13 +165,13 @@ class TestFoldedMatmul:
         a = Tensor(self.CASES[case](r), requires_grad=True)
         b = Tensor(r.standard_normal((6, 5)), requires_grad=True)
         weights = r.standard_normal(a.shape[:-1] + (5,))
-        rep = grad_check(lambda: (T.matmul(a, b) * weights).sum(), [("a", a), ("b", b)], tol=1e-7)
+        rep = grad_check(lambda: (_linear(a, b) * weights).sum(), [("a", a), ("b", b)], tol=1e-7)
         assert rep.passed, rep.summary()
 
     def test_grads_zero_rows(self):
         a = Tensor(np.zeros((0, 3, 6)), requires_grad=True)
         b = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
-        T.matmul(a, b).sum().backward()
+        _linear(a, b).sum().backward()
         assert a.grad.shape == (0, 3, 6)
         assert (b.grad == 0.0).all() and b.grad.shape == (6, 5)
 
@@ -173,14 +179,14 @@ class TestFoldedMatmul:
         x = randt(2, 4, 3, 6, grad=True)
         w = randt(6, 5, grad=True)
         weights = rng.standard_normal((2, 3, 4, 5))
-        rep = grad_check(lambda: (T.matmul(x.permute(0, 2, 1, 3), w) * weights).sum(),
+        rep = grad_check(lambda: (_linear(x.permute(0, 2, 1, 3), w) * weights).sum(),
                          [("x", x), ("w", w)], tol=1e-7)
         assert rep.passed, rep.summary()
 
     @pytest.mark.parametrize("shape", [(2, 5, 6), (2, 3, 4, 6), (2, 3, 2, 3, 6), (0, 3, 6)])
     def test_macs_counted(self, shape):
         with T.count_macs() as c:
-            out = T.matmul(Tensor(np.zeros(shape)), Tensor(np.zeros((6, 5))))
+            out = _linear(Tensor(np.zeros(shape)), Tensor(np.zeros((6, 5))))
         assert c.macs == int(np.prod(out.shape)) * 6
 
 
@@ -226,12 +232,18 @@ class TestLinearRows:
             T.linear_rows(randt(5, 4), randt(3, 3), randt(3))
 
 
+def _token_matmul(x, w):
+    """(..., K) @ (K, N) on the tape: the rows folded by hand into one 2-D ``matmul``."""
+    lead = x.shape[:-1]
+    return T.matmul(x.reshape(int(np.prod(lead)), x.shape[-1]), w).reshape(lead + w.shape[1:])
+
+
 def _composed_linear(x, w, b):
-    return T.matmul(x, w) + b
+    return _token_matmul(x, w) + b
 
 
 def _composed_mlp(x, w1, b1, w2, b2):
-    return T.matmul(T.gelu(T.matmul(x, w1) + b1), w2) + b2
+    return _token_matmul(T.gelu(_token_matmul(x, w1) + b1), w2) + b2
 
 
 def _tape_bytes(forward, arrays, weights):
@@ -402,16 +414,16 @@ class TestSoftmax:
         t = Tensor(x, requires_grad=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = T.log_softmax_lastdim(t)
-            (out * Tensor(g)).sum().backward()
-        assert out.data[0].tobytes() == np.full(2, -np.inf, dtype).tobytes()
-        assert t.grad[0].tobytes() == np.zeros(2, dtype).tobytes()
-        assert np.isnan(out.data[2]).all() and np.isnan(t.grad[2]).all()
+            out, masked = T._log_softmax(x)
+            dx = T._log_softmax_grad(out, masked, g)
+        assert out[0].tobytes() == np.full(2, -np.inf, dtype).tobytes()
+        assert dx[0].tobytes() == np.zeros(2, dtype).tobytes()
+        assert np.isnan(out[2]).all() and np.isnan(dx[2]).all()
         z = x[[1, 3]] - x[[1, 3]].max(-1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(-1, keepdims=True))
-        assert out.data[[1, 3]].tobytes() == logp.tobytes()
+        assert out[[1, 3]].tobytes() == logp.tobytes()
         grad = g[[1, 3]] - np.exp(logp) * g[[1, 3]].sum(-1, keepdims=True)
-        assert t.grad[[1, 3]].tobytes() == grad.tobytes()
+        assert dx[[1, 3]].tobytes() == grad.tobytes()
 
     @given(st.floats(-50, 50))
     @settings(max_examples=25, deadline=None)
@@ -774,7 +786,7 @@ class TestStandardLayers:
 
     def test_mean_pool_constant(self):
         x = Tensor(np.full((2, 7, 7, 3), 4.5))
-        assert np.allclose(T.mean_pool_hw(x).data, 4.5)
+        assert np.allclose(x.mean(axis=(1, 2)).data, 4.5)  # the classifier's pool
 
     def test_linear_gradcheck(self):
         from xfmr.layers import Linear
@@ -819,6 +831,29 @@ class TestStandardLayers:
         logits = Tensor(np.zeros((4, 10)))
         loss = T.cross_entropy(logits, np.array([1, 2, 3, 4]))
         assert abs(float(loss.data) - np.log(10)) <= 1e-9
+
+    def test_cross_entropy_is_one_node(self):
+        logits = randt(4, 10, grad=True)
+        assert T.cross_entropy(logits, np.array([1, 2, 3, 4]))._parents == (logits,)
+
+    def test_cross_entropy_against_log_sum_exp(self):
+        x = rng.standard_normal((5, 7)) * 3.0
+        labels = np.array([0, 6, 2, 2, 5])
+        loss = T.cross_entropy(Tensor(x), labels)
+        m = x.max(-1)
+        lse = m + np.log(np.exp(x - m[:, None]).sum(-1))
+        assert abs(float(loss.data) - (lse - x[np.arange(5), labels]).mean()) <= 1e-12
+
+    def test_cross_entropy_gradcheck(self):
+        logits = randt(5, 7, grad=True)
+        labels = np.array([0, 6, 2, 2, 5])
+
+        def loss():
+            return T.cross_entropy(logits, labels)
+
+        for f in (loss, lambda: loss() * 3.0):  # alone, and with an incoming gradient other than 1
+            rep = grad_check(f, [("logits", logits)], tol=1e-7)
+            assert rep.passed, rep.summary()
 
 
 class TestAutodiffPlumbing:
