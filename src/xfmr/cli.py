@@ -193,10 +193,10 @@ def cmd_bake_dpb(args) -> int:
             block.attn.bias = bake_to_table(block.attn.bias, *block.layout.slots)
     frozen = model_forward(model, x).data
     diff = float(np.abs(live - frozen).max())
-    print(f"forward diff between dynamic and baked bias: {diff:.3e}")
-
+    # saved before anything is printed, so that a closed stdout cannot stop it
     save_checkpoint(args.out, {name: p.data for name, p in model.named_parameters()},
                     config=replace(cfg, bias="rpb"))
+    print(f"forward diff between dynamic and baked bias: {diff:.3e}")
     print(f"baked checkpoint written to {args.out}")
     return OK if diff <= 1e-6 else CHECK_FAILED
 

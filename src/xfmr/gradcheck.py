@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = ["GradCheckError", "GradCheckReport", "grad_check"]
 
@@ -69,8 +69,9 @@ def grad_check(
     each named input, with central differences of step ``DEFAULT_STEP``.
 
     ``f`` must rebuild its forward pass on every call (it is re-evaluated
-    under perturbed inputs). Inputs must be float64; 32-bit precision is
-    too coarse for central differences to be meaningful.
+    under perturbed inputs, without a tape: only the analytic pass needs
+    one). Inputs must be float64; 32-bit precision is too coarse for central
+    differences to be meaningful.
     """
     inputs = list(inputs)  # walked twice; `named_parameters()` is a generator
     for name, t in inputs:
@@ -102,10 +103,11 @@ def grad_check(
         worst_for_tensor = 0.0
         for fid in flat_ids:
             orig = flat[fid]
-            flat[fid] = orig + DEFAULT_STEP
-            hi = float(f().data)
-            flat[fid] = orig - DEFAULT_STEP
-            lo = float(f().data)
+            with no_grad():
+                flat[fid] = orig + DEFAULT_STEP
+                hi = float(f().data)
+                flat[fid] = orig - DEFAULT_STEP
+                lo = float(f().data)
             flat[fid] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise GradCheckError(f"{name}: non-finite output during perturbation")

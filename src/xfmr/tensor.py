@@ -1,9 +1,26 @@
 """Minimal dense nd-array engine with reverse-mode automatic differentiation.
 
 A Tensor wraps a numpy array (float32 for speed paths, float64 for
-verification paths) and, when gradients are enabled, records the operation
-that produced it so that ``backward()`` can replay the tape in reverse.
-Only the operations the model actually needs are implemented.
+verification paths). When gradients are enabled and an op has an input that
+needs a gradient, the op's output Tensor points to a small graph node (see
+`_make`): the nodes of those inputs, the backward rule and the pending
+gradient. The node never references its output tensor, and each rule keeps
+only the arrays it reads, so an intermediate array that no rule reads is
+freed during the forward as soon as the caller drops it. ``backward()``
+replays the nodes in reverse. Only the operations the model actually needs
+are implemented.
+
+What each kind of op keeps on the tape:
+
+- shape ops, ``add``, ``concat``, ``index_rows`` and the reductions: shapes,
+  indices and dtypes, no array;
+- ``mul``: each operand only if the other one needs a gradient;
+- ``relu``: its output, whose sign is the mask (the bias MLP's next linear
+  keeps that array anyway);
+- ``matmul``, ``linear``, ``mlp``, ``linear_rows`` and ``conv2d``: their
+  inputs (``mlp`` also its GELU output and slope);
+- ``gelu``, ``softmax_lastdim``, ``layer_norm`` and ``cross_entropy``: their
+  own saved arrays (slope, probabilities, normalized input, log-probabilities).
 
 The float32 engine needs numpy only. float64 GELU loads scipy's erf on first
 use, so that the verification path is scipy's formula byte for byte.
@@ -115,14 +132,32 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's precondition."""
 
 
+class _Node:
+    """One recorded op on the tape: the nodes of its inputs that need a
+    gradient, its backward rule and its pending gradient. It never holds its
+    output tensor; the rule holds the arrays it reads, and nothing else."""
+
+    __slots__ = ("_parents", "_backward", "grad", "dtype")
+    requires_grad = False  # an interior gradient is dropped once its rule has run
+
+    def __init__(self, parents: tuple, backward: Callable[[np.ndarray], None], dtype):
+        self._parents = parents
+        self._backward = backward
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+
+
 class Tensor:
     """Dense nd-array with optional gradient tracking.
 
-    ``data`` is always a numpy float array; ``grad`` (same shape) is
-    populated by ``backward()`` for tensors with ``requires_grad``.
+    ``data`` is always a numpy float array. A tensor that a recorded op made
+    points to that op's `_Node`; a leaf with ``requires_grad`` is its own
+    node, and ``backward()`` leaves its gradient in ``grad``. For a tensor
+    with a node, ``grad``, ``_parents`` and ``_backward`` are the node's: its
+    pending gradient, its input nodes and its rule.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -130,9 +165,31 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._grad: np.ndarray | None = None
+        self._node: _Node | None = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._node is None:
+            self._grad = value
+        else:
+            self._node.grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, rule: Callable[[np.ndarray], None]) -> None:
+        self._node._backward = rule
 
     # -- basic introspection -------------------------------------------------
 
@@ -160,12 +217,18 @@ class Tensor:
         node's gradient is complete when the reverse walk reaches it and is
         dropped as soon as its rule has run, so the pass reuses that memory
         instead of returning it to the OS and faulting it in again next step.
+        The rules and their saved arrays stay with the graph until the caller
+        drops it: a training loop that rebinds ``loss`` after the next forward
+        holds two graphs for that long, and each graph holds only what its
+        rules read, so the overlap is paid in memory rather than in page
+        faults from giving the arrays back and taking them again.
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
-        topo: list[Tensor] = []
+        root = self if self._node is None else self._node
+        topo: list = []
         seen = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -178,7 +241,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -216,31 +279,44 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._backward is not None
+def _node_of(t: Tensor):
+    """The node that gradients of ``t`` go to: the op that made it, ``t``
+    itself for a leaf with ``requires_grad``, or None when none is needed."""
+    node = t._node
+    return t if node is None and t.requires_grad else node
 
 
 def _records(parents: Sequence[Tensor]) -> bool:
     """Whether ``_make`` puts a node with these parents on the tape."""
-    return _GRAD_ENABLED and any(_needs_grad(p) for p in parents)
+    return _GRAD_ENABLED and any(_node_of(p) is not None for p in parents)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
+def _make(data: np.ndarray, nodes: Sequence, backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The output Tensor of an op, given its inputs' `_node_of` (None for an
+    input that needs no gradient) and its backward rule.
+
+    With gradients enabled and some input node present, the output points to
+    a new `_Node` holding those input nodes and the rule; otherwise no node
+    is made. The rule accumulates into the input nodes it closes over and
+    must close over nothing else but the arrays it reads (never the input or
+    output tensors), so that everything else of the forward can be freed.
+    """
     out = Tensor(data)
-    if _records(parents):
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _GRAD_ENABLED:
+        parents = tuple(n for n in nodes if n is not None)
+        if parents:
+            out._node = _Node(parents, backward, data.dtype)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if _needs_grad(t):
-        if t.grad is None:
+def _accumulate(node, g: np.ndarray) -> None:
+    if node is not None:
+        if node.grad is None:
             # own copy: `g` may be a view of the consumer's gradient, or the
             # same array `add` hands both operands; `+=` must not write there
-            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+            node.grad = np.array(g, dtype=node.dtype, copy=True)
         else:
-            t.grad += g
+            node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -260,64 +336,66 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
-    out_data = a.data + b.data
+    na, nb = _node_of(a), _node_of(b)
+    sa, sb = a.data.shape, b.data.shape
 
     def _bw(g):
-        if _needs_grad(a):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if _needs_grad(b):
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, sa))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, sb))
 
-    return _make(out_data, (a, b), _bw)
+    return _make(a.data + b.data, (na, nb), _bw)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
-    out_data = a.data * b.data
+    na, nb = _node_of(a), _node_of(b)
+    sa, sb = a.data.shape, b.data.shape
+    # each operand's gradient reads the other operand only
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def _bw(g):
-        if _needs_grad(a):
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if _needs_grad(b):
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g * b_data, sa))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g * a_data, sb))
 
-    return _make(out_data, (a, b), _bw)
+    return _make(a.data * b.data, (na, nb), _bw)
 
 
 def reduce_sum(t: Tensor, axis=None, keepdims=False) -> Tensor:
-    out_data = t.data.sum(axis=axis, keepdims=keepdims)
+    nt, shape = _node_of(t), t.data.shape
 
     def _bw(g):
-        if axis is None:
-            _accumulate(t, np.broadcast_to(g, t.data.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(t, np.broadcast_to(gg, t.data.shape))
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        _accumulate(nt, np.broadcast_to(gg, shape))
 
-    return _make(out_data, (t,), _bw)
+    return _make(t.data.sum(axis=axis, keepdims=keepdims), (nt,), _bw)
 
 
 def reduce_mean(t: Tensor, axis=None, keepdims=False) -> Tensor:
-    out_data = t.data.mean(axis=axis, keepdims=keepdims)
-    denom = t.data.size if axis is None else math.prod(t.data.shape[a] for a in np.atleast_1d(axis))
+    nt, shape = _node_of(t), t.data.shape
+    denom = t.data.size if axis is None else math.prod(shape[a] for a in np.atleast_1d(axis))
 
     def _bw(g):
-        if axis is None:
-            _accumulate(t, np.broadcast_to(g / denom, t.data.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(t, np.broadcast_to(gg / denom, t.data.shape))
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        _accumulate(nt, np.broadcast_to(gg / denom, shape))
 
-    return _make(out_data, (t,), _bw)
+    return _make(t.data.mean(axis=axis, keepdims=keepdims), (nt,), _bw)
 
 
 def relu(t: Tensor) -> Tensor:
-    out_data = np.maximum(t.data, 0.0)
+    """max(x, 0). The node keeps the output, whose sign is the input's, and
+    no other array; its consumer in the bias MLP keeps that output anyway."""
+    nt = _node_of(t)
+    out = np.maximum(t.data, 0.0)
 
     def _bw(g):
-        _accumulate(t, g * (t.data > 0).astype(t.data.dtype))
+        _accumulate(nt, g * (out > 0).astype(out.dtype))
 
-    return _make(out_data, (t,), _bw)
+    return _make(out, (nt,), _bw)
 
 
 def _phi(x: np.ndarray, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -432,15 +510,15 @@ def gelu(t: Tensor) -> Tensor:
     for |x| ≤ 3. At ±inf the value and the slope are their limits, -0 and 0 at
     -inf, inf and 1 at +inf.
     """
-    x = t.data
+    x, nt = t.data, _node_of(t)
     out = np.empty(x.shape, x.dtype)
     slope = np.empty(x.shape, x.dtype) if _records((t,)) else None
     _gelu_rows(x.reshape(-1, 1), out.reshape(-1, 1), None if slope is None else slope.reshape(-1, 1))
 
     def _bw(g):
-        _accumulate(t, g * slope)
+        _accumulate(nt, g * slope)
 
-    return _make(out, (t,), _bw)
+    return _make(out, (nt,), _bw)
 
 
 # -- shape ops -----------------------------------------------------------------
@@ -450,25 +528,24 @@ def reshape(t: Tensor, new_shape) -> Tensor:
     new_shape = tuple(int(s) for s in new_shape)
     if math.prod(new_shape) != t.data.size:
         raise ShapeError(f"cannot reshape {t.shape} (size {t.data.size}) to {new_shape}")
-    out_data = t.data.reshape(new_shape)
+    nt, shape = _node_of(t), t.data.shape
 
     def _bw(g):
-        _accumulate(t, g.reshape(t.data.shape))
+        _accumulate(nt, g.reshape(shape))
 
-    return _make(out_data, (t,), _bw)
+    return _make(t.data.reshape(new_shape), (nt,), _bw)
 
 
 def permute(t: Tensor, order) -> Tensor:
     order = tuple(int(a) for a in order)
     if sorted(order) != list(range(t.data.ndim)):
         raise ShapeError(f"{order} is not a permutation of axes of rank-{t.data.ndim} tensor")
-    out_data = np.transpose(t.data, order)
-    inverse = np.argsort(order)
+    nt, inverse = _node_of(t), np.argsort(order)
 
     def _bw(g):
-        _accumulate(t, np.transpose(g, inverse))
+        _accumulate(nt, np.transpose(g, inverse))
 
-    return _make(out_data, (t,), _bw)
+    return _make(np.transpose(t.data, order), (nt,), _bw)
 
 
 def pad_hw(t: Tensor, pad_h: int, pad_w: int) -> Tensor:
@@ -476,53 +553,51 @@ def pad_hw(t: Tensor, pad_h: int, pad_w: int) -> Tensor:
     if pad_h == 0 and pad_w == 0:
         return t
     widths = [(0, 0)] * (t.data.ndim - 3) + [(0, pad_h), (0, pad_w), (0, 0)]
-    out_data = np.pad(t.data, widths)
-    h, w = t.data.shape[-3], t.data.shape[-2]
+    nt, (h, w) = _node_of(t), t.data.shape[-3:-1]
 
     def _bw(g):
-        _accumulate(t, g[..., :h, :w, :])
+        _accumulate(nt, g[..., :h, :w, :])
 
-    return _make(out_data, (t,), _bw)
+    return _make(np.pad(t.data, widths), (nt,), _bw)
 
 
 def crop_hw(t: Tensor, height: int, width: int) -> Tensor:
     """Keep the leading height×width block of the H and W axes."""
-    out_data = t.data[..., :height, :width, :]
+    nt, shape, dtype = _node_of(t), t.data.shape, t.data.dtype
 
     def _bw(g):
-        full = np.zeros_like(t.data)
+        full = np.zeros(shape, dtype)
         full[..., :height, :width, :] = g
-        _accumulate(t, full)
+        _accumulate(nt, full)
 
-    return _make(out_data, (t,), _bw)
+    return _make(t.data[..., :height, :width, :], (nt,), _bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [_node_of(t) for t in tensors]
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def _bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            _accumulate(n, g[tuple(idx)])
 
-    return _make(out_data, tensors, _bw)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), nodes, _bw)
 
 
 def index_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     """Gather rows of ``t`` along axis 0 with an arbitrary integer index array."""
     idx = np.asarray(idx)
-    out_data = t.data[idx]
+    nt, shape, dtype = _node_of(t), t.data.shape, t.data.dtype
 
     def _bw(g):
-        full = np.zeros_like(t.data)
+        full = np.zeros(shape, dtype)
         np.add.at(full, idx, g)
-        _accumulate(t, full)
+        _accumulate(nt, full)
 
-    return _make(out_data, (t,), _bw)
+    return _make(t.data[idx], (nt,), _bw)
 
 
 # -- contractions ----------------------------------------------------------------
@@ -536,16 +611,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul requires rank >= 2 operands")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out_data = np.matmul(a.data, b.data)
-    _record_macs(out_data.size * a.data.shape[-1])
+    ad, bd, na, nb = a.data, b.data, _node_of(a), _node_of(b)
+    out = np.matmul(ad, bd)
+    _record_macs(out.size * ad.shape[-1])
 
     def _bw(g):
-        if _needs_grad(a):
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if _needs_grad(b):
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape))
 
-    return _make(out_data, (a, b), _bw)
+    return _make(out, (na, nb), _bw)
 
 
 def _folded(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -559,14 +635,14 @@ def _folded(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _folded_grads(g2: np.ndarray, a: Tensor, w: Tensor) -> None:
-    """Accumulate the gradients of ``_folded(a.data, w.data)`` given the
-    (M, N) gradient ``g2``: one GEMM each. The ``a`` rows are folded again
-    here rather than kept on the tape."""
-    if _needs_grad(a):
-        _accumulate(a, (g2 @ w.data.T).reshape(a.data.shape))
-    if _needs_grad(w):
-        _accumulate(w, _rows(a.data).T @ g2)
+def _folded_grads(g2: np.ndarray, a: np.ndarray, na, w: np.ndarray, nw) -> None:
+    """Accumulate into the nodes ``na`` and ``nw`` the gradients of
+    ``_folded(a, w)`` given the (M, N) gradient ``g2``: one GEMM each. The
+    ``a`` rows are folded again here rather than kept on the tape."""
+    if na is not None:
+        _accumulate(na, (g2 @ w.T).reshape(a.shape))
+    if nw is not None:
+        _accumulate(nw, _rows(a).T @ g2)
 
 
 def _check_affine(name: str, shape: tuple[int, ...], w: Tensor, b: Tensor) -> None:
@@ -583,16 +659,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     bias gradient is ``add``'s reduction.
     """
     _check_affine("linear", x.data.shape, w, b)
-    out = _folded(x.data, w.data)
+    xd, wd, nx, nw, nb = x.data, w.data, _node_of(x), _node_of(w), _node_of(b)
+    out = _folded(xd, wd)
     out += b.data
-    out = out.reshape(x.data.shape[:-1] + b.data.shape)
+    out = out.reshape(xd.shape[:-1] + b.data.shape)
 
     def _bw(g):
-        if _needs_grad(b):
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-        _folded_grads(_rows(g), x, w)
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, wd.shape[1:]))  # b's shape, as _check_affine checked
+        _folded_grads(_rows(g), xd, nx, wd, nw)
 
-    return _make(out, (x, w, b), _bw)
+    return _make(out, (nx, nw, nb), _bw)
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -600,36 +677,37 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     Outputs and gradients equal bitwise those of ``linear`` → ``gelu`` →
     ``linear``. The hidden pre-activations h get ``b1`` and GELU chunk by
-    chunk in cache (`_gelu_rows`). On the tape the node keeps two
-    hidden-sized arrays, the GELU output and its slope, which overwrites h;
-    without a tape GELU runs in place in h.
+    chunk in cache (`_gelu_rows`). On the tape the node keeps its inputs and
+    two hidden-sized arrays, the GELU output and its slope, which overwrites
+    h; without a tape GELU runs in place in h.
     """
     _check_affine("mlp", x.data.shape, w1, b1)
     _check_affine("mlp", w1.data.shape, w2, b2)
-    hidden = w1.data.shape[1]
-    lead = x.data.shape[:-1]
-    h = _folded(x.data, w1.data)
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    nodes = nx, nw1, nb1, nw2, nb2 = tuple(_node_of(p) for p in (x, w1, b1, w2, b2))
+    lead, hidden = xd.shape[:-1], w1d.shape[1]
+    h = _folded(xd, w1d)
     keep = _records((x, w1, b1, w2, b2))
     act = np.empty_like(h) if keep else h
     _gelu_rows(h, act, h if keep else None, b1.data)
-    out = _folded(act, w2.data)
+    out = _folded(act, w2d)
     out += b2.data
     out = out.reshape(lead + b2.data.shape)
     slope = h
 
     def _bw(g):
         g2 = _rows(g)
-        if _needs_grad(b2):
-            _accumulate(b2, _unbroadcast(g, b2.data.shape))
-        if _needs_grad(w2):
-            _accumulate(w2, act.T @ g2)
-        ga = g2 @ w2.data.T
+        if nb2 is not None:
+            _accumulate(nb2, _unbroadcast(g, w2d.shape[1:]))
+        if nw2 is not None:
+            _accumulate(nw2, act.T @ g2)
+        ga = g2 @ w2d.T
         ga *= slope
-        if _needs_grad(b1):
-            _accumulate(b1, _unbroadcast(ga.reshape(lead + (hidden,)), b1.data.shape))
-        _folded_grads(ga, x, w1)
+        if nb1 is not None:
+            _accumulate(nb1, _unbroadcast(ga.reshape(lead + (hidden,)), (hidden,)))
+        _folded_grads(ga, xd, nx, w1d, nw1)
 
-    return _make(out, (x, w1, b1, w2, b2), _bw)
+    return _make(out, nodes, _bw)
 
 
 def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -647,21 +725,21 @@ def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                          f"{x.data.shape} @ {w.data.shape} + {b.data.shape}")
     if x.data.shape[1] != w.data.shape[0] or b.data.shape[0] != w.data.shape[1]:
         raise ShapeError(f"linear_rows extents differ: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    out_data = np.matmul(x.data[:, None, :], w.data)[:, 0, :] + b.data
-    _record_macs(x.data.size * w.data.shape[1])
+    xd, wd, nx, nw, nb = x.data, w.data, _node_of(x), _node_of(w), _node_of(b)
+    _record_macs(xd.size * wd.shape[1])
 
     def _bw(g):
-        if _needs_grad(x):
-            _accumulate(x, np.matmul(g[:, None, :], w.data.T)[:, 0, :])
+        if nx is not None:
+            _accumulate(nx, np.matmul(g[:, None, :], wd.T)[:, 0, :])
         # "+ 0.0" turns -0.0 into +0.0, as the zero-started one-term sums of
         # a one-row matmul and bias broadcast do
-        if _needs_grad(w):
-            outer = x.data[:, :, None] * g[:, None, :] + 0.0
-            _accumulate(w, np.add.accumulate(outer, axis=0)[-1])
-        if _needs_grad(b):
-            _accumulate(b, np.add.accumulate(g + 0.0, axis=0)[-1])
+        if nw is not None:
+            outer = xd[:, :, None] * g[:, None, :] + 0.0
+            _accumulate(nw, np.add.accumulate(outer, axis=0)[-1])
+        if nb is not None:
+            _accumulate(nb, np.add.accumulate(g + 0.0, axis=0)[-1])
 
-    return _make(out_data, (x, w, b), _bw)
+    return _make(np.matmul(xd[:, None, :], wd)[:, 0, :] + b.data, (nx, nw, nb), _bw)
 
 
 def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding: int) -> Tensor:
@@ -725,6 +803,7 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding:
     if bias is not None:
         out += bias.data
     _record_macs(n * oh * ow * cout * kh * kw * cin)
+    nt, nk, nbias = _node_of(t), _node_of(kernel), None if bias is None else _node_of(bias)
 
     def _bw(g):
         dy = np.zeros((n, hq, wq, q, r, cout), dtype=g.dtype)
@@ -732,21 +811,20 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding:
             for b in range(r):
                 dy[:, a : a + oh, b : b + ow, a, b] = g
         dy = dy.reshape(-1, q * r * cout)
-        if _needs_grad(kernel):
+        if nk is not None:
             dk = (blocks().T @ dy).reshape(s, s, cin, q, r, cout).transpose(3, 0, 4, 1, 2, 5)
-            _accumulate(kernel, dk.reshape(q * s, r * s, cin, cout)[:kh, :kw])
-        if _needs_grad(t):
+            _accumulate(nk, dk.reshape(q * s, r * s, cin, cout)[:kh, :kw])
+        if nt is not None:
             dx = (dy @ kmat.T).reshape(n, hq, wq, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
             dx = dx.reshape(n, hq * s, wq * s, cin)
             if not tiles:
                 dxq, dx = dx, np.zeros_like(x)
                 dx[:, : hq * s - padding, : wq * s - padding] = dxq[:, padding : padding + h, padding : padding + w]
-            _accumulate(t, dx)
-        if bias is not None and _needs_grad(bias):
-            _accumulate(bias, _col_sum(g))
+            _accumulate(nt, dx)
+        if nbias is not None:
+            _accumulate(nbias, _col_sum(g))
 
-    parents = (t, kernel) if bias is None else (t, kernel, bias)
-    return _make(out, parents, _bw)
+    return _make(out, (nt, nk, nbias), _bw)
 
 
 # -- normalization and softmax -----------------------------------------------
@@ -811,13 +889,14 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     s = _row_sum(p)
     s[masked] = 1.0  # the exp row of a fully masked row is all zeros
     p /= s
+    nt = _node_of(t)
 
     def _bw(g):
         dx = g - _row_sum(g, p)
         dx *= p
-        _accumulate(t, dx)
+        _accumulate(nt, dx)
 
-    return _make(p, (t,), _bw)
+    return _make(p, (nt,), _bw)
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -834,21 +913,23 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = x - _row_sum(x) / d
     inv_std = 1.0 / np.sqrt(_row_sum(xhat, xhat) / d + eps)
     xhat *= inv_std
-    out_data = xhat * gamma.data
+    gd = gamma.data
+    nodes = nt, ngamma, nbeta = _node_of(t), _node_of(gamma), _node_of(beta)
+    out_data = xhat * gd
     out_data += beta.data
 
     def _bw(g):
-        _accumulate(beta, _col_sum(g))
-        _accumulate(gamma, _col_sum(g, xhat))
-        dxhat = g * gamma.data
+        _accumulate(nbeta, _col_sum(g))
+        _accumulate(ngamma, _col_sum(g, xhat))
+        dxhat = g * gd
         m1 = _row_sum(dxhat) / d
         m2 = _row_sum(dxhat, xhat) / d
         dxhat -= m1
         dxhat -= xhat * m2
         dxhat *= inv_std
-        _accumulate(t, dxhat)
+        _accumulate(nt, dxhat)
 
-    return _make(out_data, (t, gamma, beta), _bw)
+    return _make(out_data, nodes, _bw)
 
 
 def _log_softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -883,10 +964,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp, masked = _log_softmax(logits.data)
     minus_one = np.asarray(-1.0, logp.dtype)
     out_data = logp[rows, labels].mean() * minus_one
+    nl = _node_of(logits)
 
     def _bw(g):
         full = np.zeros_like(logp)
         full[rows, labels] = (g * minus_one) / rows.size
-        _accumulate(logits, _log_softmax_grad(logp, masked, full))
+        _accumulate(nl, _log_softmax_grad(logp, masked, full))
 
-    return _make(out_data, (logits,), _bw)
+    return _make(out_data, (nl,), _bw)

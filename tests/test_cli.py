@@ -215,6 +215,23 @@ class TestTrainAndBake:
         with pytest.raises(BiasRangeError, match="bias table only covers"):
             model_forward(frozen, np.zeros((1, 96, 96, 3), np.float32))
 
+    def test_bake_with_closed_stdout_still_writes_the_checkpoint(self, capsys, tmp_path, toy_training_run):
+        # the pipe's read end is closed before the child starts and stdout is
+        # unbuffered, so the first print meets a broken pipe
+        ckpt = toy_training_run[2]
+        normal, piped = tmp_path / "normal.xfmr", tmp_path / "piped.xfmr"
+        assert run(capsys, "bake-dpb", str(ckpt), "--out", str(normal))[0] == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "xfmr.cli", "bake-dpb", str(ckpt), "--out", str(piped)],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env={**module_env(), "PYTHONUNBUFFERED": "1"}, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
+        assert piped.read_bytes() == normal.read_bytes()
+
     def test_bake_rejects_non_dpb_config(self, capsys, tmp_path):
         path = save_model(tmp_path / "toy.xfmr", RunConfig(variant="toy", bias="rpb"))
         code, out, err = run(capsys, "bake-dpb", str(path), "--out", str(tmp_path / "y.xfmr"))

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import xfmr.tensor as T
 import xfmr.train
 from xfmr import AdamW, ConfigError, RunConfig, Tensor, build_model, toy_spec
 from xfmr.data import synth_dataset
@@ -128,3 +130,37 @@ class TestGradientLifetime:
         finally:
             tracemalloc.stop()
         assert extra <= 0.6 * graph, f"backward peak {extra} B over a {graph} B forward graph"
+
+    def test_tape_keeps_only_what_backward_reads(self, monkeypatch):
+        """A node keeps only the arrays its rule reads: once the toy's loss is
+        built (f32, batch 2), the attention residual sums and the scaled
+        attention scores are already freed, while every attention softmax
+        output lives until the loss is dropped."""
+        residuals, scores, probs = [], [], []
+
+        def recording(name, sink, picks):
+            op = getattr(T, name)
+
+            def wrapped(*args):
+                out = op(*args)
+                if picks(*args):
+                    sink.append(weakref.ref(out.data))
+                return out
+
+            monkeypatch.setattr(T, name, wrapped)
+
+        recording("add", residuals, lambda a, b: isinstance(b, Tensor) and a.data.ndim == 4 and a.shape == b.shape)
+        recording("mul", scores, lambda a, b: isinstance(b, float) and a.data.ndim == 5)
+        recording("softmax_lastdim", probs, lambda t: True)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
+        images, labels = synth_dataset(0, 2, 64, 4)
+        loss = cross_entropy(model(Tensor(images.astype(np.float32))), labels)
+        blocks = sum(len(stage) for stage in model.stages)
+        assert (len(residuals), len(scores), len(probs)) == (2 * blocks, blocks, blocks)
+        assert all(ref() is None for ref in residuals[::2])  # x + attention branch
+        assert all(ref() is None for ref in scores)
+        assert all(ref() is not None for ref in probs)
+        loss.backward()
+        assert all(p.grad is not None and p.grad.shape == p.shape for _, p in model.named_parameters())
+        del loss
+        assert all(ref() is None for ref in probs)
