@@ -7,10 +7,11 @@ needs a gradient, the op's output Tensor points to a small graph node (see
 gradient. The node never references its output tensor, and each rule keeps
 only the arrays it reads, so an intermediate array that no rule reads is
 freed during the forward as soon as the caller drops it. ``backward()``
-replays the nodes in reverse. Only the operations the model actually needs
-are implemented.
+replays the nodes in reverse and drops each rule once it has run, so a graph
+is backpropagated once. Only the operations the model actually needs are
+implemented.
 
-What each kind of op keeps on the tape:
+What each kind of op keeps on the tape, until its rule has run:
 
 - shape ops, ``add``, ``concat``, ``index_rows`` and the reductions: shapes,
   indices and dtypes, no array;
@@ -135,10 +136,11 @@ class ShapeError(ValueError):
 class _Node:
     """One recorded op on the tape: the nodes of its inputs that need a
     gradient, its backward rule and its pending gradient. It never holds its
-    output tensor; the rule holds the arrays it reads, and nothing else."""
+    output tensor; the rule holds the arrays it reads, and nothing else.
+    ``backward()`` sets the rule to None once it has run, which frees those
+    arrays and marks the node as backpropagated."""
 
     __slots__ = ("_parents", "_backward", "grad", "dtype")
-    requires_grad = False  # an interior gradient is dropped once its rule has run
 
     def __init__(self, parents: tuple, backward: Callable[[np.ndarray], None], dtype):
         self._parents = parents
@@ -214,14 +216,16 @@ class Tensor:
         """Reverse-mode pass seeded from this (scalar) tensor.
 
         Only tensors with ``requires_grad`` keep their gradient. Any other
-        node's gradient is complete when the reverse walk reaches it and is
-        dropped as soon as its rule has run, so the pass reuses that memory
-        instead of returning it to the OS and faulting it in again next step.
-        The rules and their saved arrays stay with the graph until the caller
-        drops it: a training loop that rebinds ``loss`` after the next forward
-        holds two graphs for that long, and each graph holds only what its
-        rules read, so the overlap is paid in memory rather than in page
-        faults from giving the arrays back and taking them again.
+        node's gradient is complete when the reverse walk reaches it, and the
+        node drops that gradient and its rule, with the arrays the rule
+        saved, as soon as the rule has run (or when the walk reaches it with
+        no gradient). So the pass reuses the memory it frees for the
+        gradients it allocates, and a graph can be backpropagated once: a
+        second ``backward()`` through it raises RuntimeError before any
+        gradient is touched. After the pass the graph holds only small nodes,
+        so a training loop that rebinds ``loss`` after the next forward keeps
+        the previous graph alive for free: it costs neither memory nor the
+        page faults of giving arrays back to the OS and taking them again.
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
@@ -236,6 +240,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if type(node) is _Node and node._backward is None:
+                raise RuntimeError("backward() through a graph that has already been backpropagated")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -243,10 +249,13 @@ class Tensor:
                     stack.append((p, False))
         root.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if not node.requires_grad:
-                    node.grad = None
+            rule = node._backward
+            if rule is None:  # a leaf: it keeps its gradient
+                continue
+            if node.grad is not None:
+                rule(node.grad)
+                node.grad = None
+            node._backward = None
 
     # -- operator sugar --------------------------------------------------------
 
@@ -300,6 +309,7 @@ def _make(data: np.ndarray, nodes: Sequence, backward: Callable[[np.ndarray], No
     is made. The rule accumulates into the input nodes it closes over and
     must close over nothing else but the arrays it reads (never the input or
     output tensors), so that everything else of the forward can be freed.
+    ``backward()`` drops the rule once it has run, and the arrays with it.
     """
     out = Tensor(data)
     if _GRAD_ENABLED:

@@ -88,14 +88,13 @@ def train_toy(cfg: RunConfig, model: Classifier | None = None,
     params = [p for _, p in model.named_parameters()]
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     result = TrainResult()
-    order = np.arange(cfg.samples)
+    full_batch = cfg.batch >= cfg.samples
     for step in range(cfg.steps):
-        if cfg.batch >= cfg.samples:
-            batch_idx = order
+        if full_batch:  # the whole dataset, read in place
+            x, y = Tensor(images), labels
         else:
             batch_idx = rng.choice(cfg.samples, size=cfg.batch, replace=False)
-        x = Tensor(images[batch_idx])
-        y = labels[batch_idx]
+            x, y = Tensor(images[batch_idx]), labels[batch_idx]
         logits = model(x, train=True, rng=rng)
         loss = cross_entropy(logits, y)
         loss_val = float(loss.data)
@@ -104,7 +103,7 @@ def train_toy(cfg: RunConfig, model: Classifier | None = None,
         opt.zero_grad()
         loss.backward()
         opt.step(cosine_lr(cfg.lr, step, cfg.steps, cfg.warmup))
-        if cfg.batch >= cfg.samples:
+        if full_batch:
             acc = float((logits.data.argmax(axis=1) == y).mean())
         else:
             with no_grad():

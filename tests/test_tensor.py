@@ -891,6 +891,25 @@ class TestAutodiffPlumbing:
         assert h.grad is None and u.grad is None and loss.grad is None
         assert (x.grad == 6.0).all()
 
+    def test_second_backward_through_a_graph_raises(self):
+        """Backward drops each rule once it has run, so a second pass would
+        find no rules and leave stale gradients: it raises before touching
+        any gradient, also when only a shared part of the graph has run."""
+        x, w = randt(3, 4, grad=True), randt(3, 4, grad=True)
+        h = x * w
+        loss = h.sum()
+        other = (h * 3.0).sum()
+        loss.backward()
+        assert h._backward is None and loss._backward is None
+        x_grad, w_grad = x.grad, w.grad
+        expected_x, expected_w = x_grad.copy(), w_grad.copy()
+        for again in (loss, other):
+            with pytest.raises(RuntimeError, match="^backward\\(\\) through a graph that has already been backpropagated$"):
+                again.backward()
+            assert x.grad is x_grad and w.grad is w_grad
+            assert np.array_equal(x.grad, expected_x) and np.array_equal(w.grad, expected_w)
+        assert other.grad is None and other._backward is not None
+
     def test_operands_of_add_get_separate_writable_grads(self):
         a, b = randt(3, 4, grad=True), randt(3, 4, grad=True)
         ((a + b).sum() + (a * 3.0).sum()).backward()

@@ -164,3 +164,37 @@ class TestGradientLifetime:
         assert all(p.grad is not None and p.grad.shape == p.shape for _, p in model.named_parameters())
         del loss
         assert all(ref() is None for ref in probs)
+
+    def test_backward_releases_every_rule(self, monkeypatch):
+        """Each rule and the arrays it saved are dropped once backward has
+        run it, so with the toy's loss still bound (f32, batch 2) every
+        attention softmax output is already freed, and all that stays traced
+        is the parameter gradients plus small graph nodes: ≈60 KB measured,
+        against ≈1.9 MB of saved arrays when the rules are kept."""
+        slack = 128 * 1024
+        probs = []
+        softmax = T.softmax_lastdim
+
+        def recording(t):
+            out = softmax(t)
+            probs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "softmax_lastdim", recording)
+        model = build_model(replace(toy_spec(), classes=4), seed=0)
+        images, labels = synth_dataset(0, 2, 64, 4)
+        x = Tensor(images.astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = cross_entropy(model(x, train=True), labels)
+            loss.backward()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(probs) == sum(len(stage) for stage in model.stages)
+        assert all(ref() is None for ref in probs)
+        params = [p for _, p in model.named_parameters()]
+        assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
+        grad_bytes = sum(p.grad.nbytes for p in params)
+        assert grad_bytes <= kept <= grad_bytes + slack, f"{kept} B kept for {grad_bytes} B of gradients"
