@@ -24,6 +24,7 @@ __all__ = [
     "PARAM_TARGETS",
     "FLOP_TARGETS",
     "POSITION_PARAM_TARGETS",
+    "POSITION_FLOP_TARGETS",
     "CEL_TARGETS",
     "TargetCheck",
     "check_against_targets",
@@ -212,5 +213,6 @@ def check_against_targets(spec: ModelSpec) -> list[TargetCheck]:
                        TargetCheck(f"{label} macs", macs, ft, FLOP_TOLERANCE)]
     for bias, target in POSITION_PARAM_TARGETS.items():
         if is_row(replace(build_variant("small"), bias_kind=bias)):
-            checks.append(TargetCheck(f"small/{bias} params", params, target, POSITION_TOLERANCE))
+            checks += [TargetCheck(f"small/{bias} params", params, target, POSITION_TOLERANCE),
+                       TargetCheck(f"small/{bias} macs", macs, POSITION_FLOP_TARGETS[bias], POSITION_TOLERANCE)]
     return checks

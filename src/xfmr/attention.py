@@ -2,9 +2,11 @@
 
 Two grouping rules share one implementation: short-distance groups tile the
 grid into adjacent blocks, long-distance groups collect positions sampled at
-a fixed interval per axis. Grouping is a pure reshape/permute rearrangement
-on divisible grids; other sizes are zero-padded up to the next multiple and
-the padded slots are masked out of the softmax with a -inf sentinel.
+a fixed interval per axis. Both split each axis into (outer, inner) indices,
+(N, H, W, D) to (N, H/s, s, W/s, s, D), and differ only in the axis order:
+SDA groups by the outer indices, LDA by the inner ones. Grids that are not
+multiples of s are zero-padded up to the next multiple and the padded slots
+are masked out of the softmax with a -inf sentinel.
 The pooled-key/value ablation reuses the same multi-head core on one group
 holding every token, with keys and values taken from the pooled grid.
 """
@@ -34,10 +36,19 @@ SDA = "sda"
 LDA = "lda"
 
 
+# axis order of each mode over the split (N, H/size, size, W/size, size, D):
+# the group axes first, the slot axes second
+_ORDERS = {SDA: (0, 1, 3, 2, 4, 5), LDA: (0, 2, 4, 1, 3, 5)}
+
+
 @dataclass(frozen=True)
 class GroupLayout:
     """Invertible map from the (H, W) positions of a batched (N, H, W, C)
-    grid to (group, slot) coordinates; :func:`group` applies it."""
+    grid to (group, slot) coordinates; :func:`group` applies it.
+
+    Both modes split the padded grid to (H/size, size, W/size, size); SDA's
+    groups are the (H/size, W/size) outer indices and its slots the inner
+    (size, size), LDA's the other way round."""
 
     mode: str
     grid: tuple[int, int]
@@ -56,41 +67,39 @@ class GroupLayout:
         return self.slots[0] * self.slots[1]
 
 
+def _split(x: Tensor, size: int) -> Tensor:
+    """A batch (N, H, W, D) zero-padded to multiples of ``size`` and split to
+    (N, H/size, size, W/size, size, D)."""
+    n, h, w, d = x.shape
+    hp, wp = math.ceil(h / size), math.ceil(w / size)
+    return T.pad_hw(x, hp * size - h, wp * size - w).reshape(n, hp, size, wp, size, d)
+
+
 def build_layout(mode: str, height: int, width: int, size: int) -> GroupLayout:
     """Compute the (group, slot) assignment for every grid position.
 
     Short-distance: position (r, c) lands in group (r//G, c//G), slot
     (r%G, c%G). Long-distance: group (r%I, c%I), slot (r//I, c//I), applied
-    independently per axis so rectangular grids are allowed.
+    independently per axis so rectangular grids are allowed. Both are the one
+    split of :func:`group` in the mode's order: the extents come from the
+    split grid, and the mask is the grid of real positions put through it.
     """
     if height < 1 or width < 1 or size < 1:
         raise ValueError("grid extents and group size must be positive")
-    if mode not in (SDA, LDA):
+    if mode not in _ORDERS:
         raise ValueError(f"unknown grouping mode {mode!r}")
-    hp = math.ceil(height / size) * size
-    wp = math.ceil(width / size) * size
-    rows = np.arange(hp)[:, None]
-    cols = np.arange(wp)[None, :]
-    if mode == SDA:
-        groups = (hp // size, wp // size)
-        slots = (size, size)
-        gid = (rows // size) * groups[1] + (cols // size)
-        sid = (rows % size) * slots[1] + (cols % size)
-    else:
-        groups = (size, size)
-        slots = (hp // size, wp // size)
-        gid = (rows % size) * groups[1] + (cols % size)
-        sid = (rows // size) * slots[1] + (cols // size)
-    mask = np.zeros((groups[0] * groups[1], slots[0] * slots[1]), dtype=bool)
-    mask[gid[:height, :width], sid[:height, :width]] = True
+    split = _split(Tensor(np.ones((1, height, width, 1))), size).data
+    real = split.transpose(_ORDERS[mode])
+    groups, slots = real.shape[1:3], real.shape[3:5]
     return GroupLayout(
         mode=mode,
         grid=(height, width),
         size=size,
-        padded_grid=(hp, wp),
+        padded_grid=(split.shape[1] * size, split.shape[3] * size),
         groups=groups,
         slots=slots,
-        mask=mask,
+        # a C-ordered copy: reshaping a transposed view can keep its strides
+        mask=real.reshape(math.prod(groups), math.prod(slots)).astype(bool, order="C"),
     )
 
 
@@ -105,17 +114,7 @@ def group(x: Tensor, layout: GroupLayout) -> Tensor:
     n, h, w, d = x.shape
     if (h, w) != layout.grid:
         raise T.ShapeError(f"tensor grid {(h, w)} does not match layout {layout.grid}")
-    hp, wp = layout.padded_grid
-    x = T.pad_hw(x, hp - h, wp - w)
-    if layout.mode == SDA:
-        gh, gw = layout.groups
-        sh, sw = layout.slots
-        x = x.reshape(n, gh, sh, gw, sw, d).permute(0, 1, 3, 2, 4, 5)
-    else:
-        gh, gw = layout.groups
-        sh, sw = layout.slots
-        x = x.reshape(n, sh, gh, sw, gw, d).permute(0, 2, 4, 1, 3, 5)
-    return x.reshape(n, layout.n_groups, layout.n_slots, d)
+    return _split(x, layout.size).permute(_ORDERS[layout.mode]).reshape(n, layout.n_groups, layout.n_slots, d)
 
 
 def ungroup(g: Tensor, layout: GroupLayout) -> Tensor:
@@ -126,15 +125,8 @@ def ungroup(g: Tensor, layout: GroupLayout) -> Tensor:
     n, ng, ns, d = g.shape
     if (ng, ns) != (layout.n_groups, layout.n_slots):
         raise T.ShapeError(f"grouped shape {(ng, ns)} does not match layout")
-    gh, gw = layout.groups
-    sh, sw = layout.slots
-    hp, wp = layout.padded_grid
-    x = g.reshape(n, gh, gw, sh, sw, d)
-    if layout.mode == SDA:
-        x = x.permute(0, 1, 3, 2, 4, 5)
-    else:
-        x = x.permute(0, 3, 1, 4, 2, 5)
-    return T.crop_hw(x.reshape(n, hp, wp, d), *layout.grid)
+    x = g.reshape(n, *layout.groups, *layout.slots, d).permute(tuple(np.argsort(_ORDERS[layout.mode])))
+    return T.crop_hw(x.reshape(n, *layout.padded_grid, d), *layout.grid)
 
 
 def key_padding_logits(layout: GroupLayout, dtype) -> np.ndarray | None:
@@ -226,12 +218,8 @@ class PooledFullAttention(GroupedAttention):
     def _pool(self, x: Tensor) -> Tensor:
         """Keys/values source: the grid (N, H, W, dim) zero-padded to a
         multiple of the reduction and average-pooled, as one group."""
-        r = self.reduction
-        n, h, w, d = x.shape
-        hp = math.ceil(h / r) * r
-        wp = math.ceil(w / r) * r
-        x = T.pad_hw(x, hp - h, wp - w)
-        return x.reshape(n, hp // r, r, wp // r, r, d).mean(axis=(2, 4)).reshape(n, 1, hp // r, wp // r, d)
+        pooled = _split(x, self.reduction).mean(axis=(2, 4))
+        return pooled.reshape(pooled.shape[0], 1, *pooled.shape[1:])
 
     def __call__(self, x: Tensor) -> Tensor:
         """Attention output (N, H, W, dim) of a batch (N, H, W, dim)."""

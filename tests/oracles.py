@@ -127,6 +127,48 @@ def masked_full_attention(
     return out
 
 
+def pooled_full_attention(x: np.ndarray, attn, reduction: int) -> np.ndarray:
+    """Full-grid attention whose keys and values come from the grid
+    zero-padded to a multiple of ``reduction`` and averaged over each
+    reduction x reduction window.
+
+    Pools by looping over every window cell (a padded cell adds zero but
+    still counts in the mean), then loops over every query token and head
+    with a softmax over all pooled keys, using the layer's projection
+    weight values directly.
+    """
+    n, height, width, dim = x.shape
+    r = reduction
+    ph, pw = math.ceil(height / r), math.ceil(width / r)
+    pooled = np.zeros((n, ph, pw, dim), dtype=x.dtype)
+    for b in range(n):
+        for i in range(ph):
+            for j in range(pw):
+                for di in range(r):
+                    for dj in range(r):
+                        if i * r + di < height and j * r + dj < width:
+                            pooled[b, i, j] += x[b, i * r + di, j * r + dj]
+                pooled[b, i, j] /= r * r
+    heads = attn.heads
+    d = dim // heads
+    q = x.reshape(n, height * width, dim) @ attn.q_proj.w.data + attn.q_proj.b.data
+    kv = pooled.reshape(n, ph * pw, dim)
+    k = kv @ attn.k_proj.w.data + attn.k_proj.b.data
+    v = kv @ attn.v_proj.w.data + attn.v_proj.b.data
+    out = np.zeros_like(x)
+    for b in range(n):
+        for i in range(height * width):
+            mixed = np.zeros(dim, dtype=x.dtype)
+            for head in range(heads):
+                sl = slice(head * d, (head + 1) * d)
+                logits = k[b, :, sl] @ q[b, i, sl] / math.sqrt(d)
+                p = np.exp(logits - logits.max())
+                p /= p.sum()
+                mixed[sl] = p @ v[b, :, sl]
+            out[b, i // width, i % width, :] = mixed @ attn.out_proj.w.data + attn.out_proj.b.data
+    return out
+
+
 def dpb_offset_row(dpb, dx: float, dy: float):
     """Dynamic-position-bias row (1, heads) of one raw signed offset.
 

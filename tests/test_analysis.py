@@ -17,7 +17,9 @@ from xfmr.analysis import (
     CEL_TARGETS,
     FLOP_TARGETS,
     PARAM_TARGETS,
+    POSITION_FLOP_TARGETS,
     POSITION_PARAM_TARGETS,
+    POSITION_TOLERANCE,
     attention_map_macs,
     check_against_targets,
 )
@@ -130,6 +132,15 @@ class TestReferenceBudgets:
             target = POSITION_PARAM_TARGETS[bias]
             assert abs(totals[bias] - target) / target <= 0.015, bias
         assert totals["ape"] > totals["dpb"] > totals["rpb"]
+
+    @pytest.mark.parametrize("bias", ["ape", "rpb", "dpb"])
+    def test_position_row_checks_macs(self, bias):
+        spec = replace(build_variant("small"), bias_kind=bias)
+        checks = {c.label: c for c in check_against_targets(spec)}
+        macs = checks[f"small/{bias} macs"]
+        assert (macs.actual, macs.target, macs.tolerance) == (
+            count_flops(spec).total, POSITION_FLOP_TARGETS[bias], POSITION_TOLERANCE)
+        assert macs.passed and macs.line().endswith("PASS")
 
     def test_cel_ablation_budgets(self):
         for mode, (p_target, f_target) in CEL_TARGETS.items():

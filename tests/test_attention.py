@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from xfmr import (
 )
 from xfmr.attention import PooledFullAttention, key_padding_logits
 
-from oracles import masked_full_attention, walk_layout
+from oracles import masked_full_attention, pooled_full_attention, walk_layout
 
 rng = np.random.default_rng(99)
 
@@ -80,6 +82,25 @@ class TestLayout:
         assert lay.mask.sum() == h * w
         assert (positions[~lay.mask] == -1).all()
         assert sorted(positions[lay.mask].tolist()) == list(range(h * w))
+
+    @given(
+        st.sampled_from(["sda", "lda"]),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extents_follow_the_per_axis_rule(self, mode, h, w, size):
+        # each axis splits into ceil(extent / size) outer and size inner
+        # indices; SDA groups by the outer ones, LDA by the inner ones
+        outer = (math.ceil(h / size), math.ceil(w / size))
+        lay = build_layout(mode, h, w, size)
+        assert lay.padded_grid == (outer[0] * size, outer[1] * size)
+        if mode == "sda":
+            assert (lay.groups, lay.slots) == (outer, (size, size))
+        else:
+            assert (lay.groups, lay.slots) == ((size, size), outer)
+        assert lay.mask.shape == (lay.n_groups, lay.n_slots)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -292,3 +313,12 @@ class TestPooledFullAttention:
             out = attn(x).data
         ref = masked_full_attention(x.data, attn, "sda", 5, None)
         assert np.abs(out - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("reduction", [2, 3])
+    def test_pooled_keys_values_match_loop_oracle(self, reduction):
+        # 5x7 is a multiple of neither reduction, so the pooled grid is padded
+        attn = PooledFullAttention(np.random.default_rng(3), 8, 2, reduction=reduction, dtype=np.float64)
+        x = Tensor(np.random.default_rng(4).standard_normal((2, 5, 7, 8)))
+        with no_grad():
+            out = attn(x).data
+        assert np.abs(out - pooled_full_attention(x.data, attn, reduction)).max() <= 1e-10

@@ -135,7 +135,7 @@ class TestGradientLifetime:
         """A node keeps only the arrays its rule reads: once the toy's loss is
         built (f32, batch 2), the attention residual sums and the scaled
         attention scores are already freed, while every attention softmax
-        output lives until the loss is dropped."""
+        output lives until backward runs the rule that reads it."""
         residuals, scores, probs = [], [], []
 
         def recording(name, sink, picks):
