@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .bias import dpb_hidden_width
+from .bias import DYNAMIC_BIAS_KINDS, dpb_hidden_width
 from .model import MLP_RATIO, PVT_REDUCTIONS, ModelSpec, build_variant
 
 __all__ = [
@@ -102,7 +102,7 @@ def count_params(spec: ModelSpec) -> CostReport:
             report.add(f"{key}.mlp", _linear_params(stage.dim, MLP_RATIO * stage.dim)
                        + _linear_params(MLP_RATIO * stage.dim, stage.dim))
         if spec.attention_mode != "pvt-like":
-            if spec.bias_kind in ("dpb", "dpb-res"):
+            if spec.bias_kind in DYNAMIC_BIAS_KINDS:
                 report.add(f"{key}.bias", stage.blocks * _dpb_params(stage.dim, stage.heads))
             elif spec.bias_kind == "rpb":
                 for layout in layouts:
@@ -146,7 +146,7 @@ def count_flops(spec: ModelSpec, input_size: tuple[int, int] | None = None) -> C
                 report.add(f"{key}.attention", 4 * padded * stage.dim ** 2)
                 report.add(f"{key}.attention",
                            attention_map_macs(padded, layout.n_slots, stage.dim))
-                if spec.bias_kind in ("dpb", "dpb-res"):
+                if spec.bias_kind in DYNAMIC_BIAS_KINDS:
                     sh, sw = layout.slots
                     report.add(f"{key}.bias",
                                (2 * sh - 1) * (2 * sw - 1) * _dpb_eval_macs(stage.dim, stage.heads))

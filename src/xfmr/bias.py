@@ -28,6 +28,7 @@ from .tensor import Tensor
 __all__ = [
     "BiasRangeError",
     "BIAS_KINDS",
+    "DYNAMIC_BIAS_KINDS",
     "DynamicPositionBias",
     "RelativePositionBias",
     "AbsolutePositionEmbedding",
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 BIAS_KINDS = ("ape", "rpb", "dpb", "dpb-res")
+# the kinds whose bias an MLP computes from the offsets (`DynamicPositionBias`)
+DYNAMIC_BIAS_KINDS = ("dpb", "dpb-res")
 
 
 def dpb_hidden_width(dim: int) -> int:

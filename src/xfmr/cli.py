@@ -19,9 +19,9 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import check_against_targets, count_flops, count_params
-from .bias import BIAS_KINDS, BiasRangeError, bake_to_table
+from .bias import BIAS_KINDS, DYNAMIC_BIAS_KINDS, BiasRangeError, bake_to_table
 from .checkpoint import CheckpointError, load_model, save_checkpoint
-from .config import TOY_TRAINING, RunConfig, emit_config, load_config, to_model_spec
+from .config import DTYPES, TOY_TRAINING, RunConfig, emit_config, load_config, to_model_spec
 from .embed import ConfigError
 from .gradcheck import GradCheckError, grad_check
 from .model import (ATTENTION_MODES, CEL_KERNELS, TASKS, VARIANT_CHOICES, VARIANT_NAMES, build_model,
@@ -108,9 +108,10 @@ def cmd_count(args) -> int:
 def cmd_forward(args) -> int:
     cfg = _config_from_args(args)
     spec = to_model_spec(cfg)
-    model = build_model(spec, seed=cfg.seed)
+    dtype = DTYPES[cfg.dtype]
+    model = build_model(spec, seed=cfg.seed, dtype=dtype)
     rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal((args.batch, *spec.input_size, 3)).astype(np.float32)
+    x = rng.standard_normal((args.batch, *spec.input_size, 3)).astype(dtype)
     start = time.perf_counter()
     logits = model_forward(model, x)
     elapsed = time.perf_counter() - start
@@ -180,7 +181,7 @@ def cmd_train_toy(args) -> int:
 
 def cmd_bake_dpb(args) -> int:
     model, cfg = load_model(args.checkpoint)
-    if cfg.bias not in ("dpb", "dpb-res") or cfg.attention == "pvt-like":
+    if cfg.bias not in DYNAMIC_BIAS_KINDS or cfg.attention == "pvt-like":
         print("bake-dpb requires a dynamic-position-bias configuration", file=sys.stderr)
         return USAGE_ERROR
 

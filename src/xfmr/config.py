@@ -17,6 +17,8 @@ Which fields apply depends on where the stages come from:
 A field that does not apply must keep its default, else `to_model_spec`
 raises `ConfigError`. `bias`, `attention`, `input_size`, `classes` and
 `drop_path` apply everywhere; unset, the last three take the base spec's.
+`train-toy` needs a square input size: the synthetic dataset draws square
+images.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import tensor as T
 from .attention import LDA, SDA, GroupedAttention, GroupLayout, PooledFullAttention, build_layout, group, ungroup
-from .bias import (BIAS_KINDS, AbsolutePositionEmbedding, DynamicPositionBias, RelativePositionBias,
-                   dpb_hidden_width)
+from .bias import (BIAS_KINDS, DYNAMIC_BIAS_KINDS, AbsolutePositionEmbedding, DynamicPositionBias,
+                   RelativePositionBias, dpb_hidden_width)
 from .embed import CelSpec, ConfigError, CrossScaleEmbedding
 from .layers import LayerNorm, Linear, Mlp, Module, drop_path_mask
 from .tensor import Tensor
@@ -205,7 +205,7 @@ def toy_spec() -> ModelSpec:
 def _make_bias_provider(rng, spec: ModelSpec, stage: StageSpec, layout: GroupLayout, dtype):
     if spec.bias_kind == "ape":
         return None
-    if spec.bias_kind in ("dpb", "dpb-res"):
+    if spec.bias_kind in DYNAMIC_BIAS_KINDS:
         return DynamicPositionBias(
             rng, stage.dim, stage.heads, residual=spec.bias_kind == "dpb-res", dtype=dtype
         )

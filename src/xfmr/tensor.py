@@ -2,14 +2,15 @@
 
 A Tensor wraps a numpy array (float32 for speed paths, float64 for
 verification paths). When gradients are enabled and an op has an input that
-needs a gradient, the op's output Tensor points to a small graph node (see
-`_make`): the nodes of those inputs, the backward rule and the pending
-gradient. The node never references its output tensor, and each rule keeps
-only the arrays it reads, so an intermediate array that no rule reads is
-freed during the forward as soon as the caller drops it. ``backward()``
-replays the nodes in reverse and drops each rule once it has run, so a graph
-is backpropagated once. Only the operations the model actually needs are
-implemented.
+needs a gradient, the op's output Tensor points to a small graph node, a
+`_Node` (see `_make`): the nodes of those inputs, the backward rule and the
+pending gradient. A leaf has no node: a leaf that needs a gradient is itself
+the input a node lists, and keeps its gradient in ``grad``. The node never
+references its output tensor, and each rule keeps only the arrays it reads,
+so an intermediate array that no rule reads is freed during the forward as
+soon as the caller drops it. ``backward()`` replays the nodes in reverse and
+drops each rule once it has run, so a graph is backpropagated once. Only the
+operations the model actually needs are implemented.
 
 What each kind of op keeps on the tape, until its rule has run:
 
@@ -135,7 +136,8 @@ class ShapeError(ValueError):
 
 class _Node:
     """One recorded op on the tape: the nodes of its inputs that need a
-    gradient, its backward rule and its pending gradient. It never holds its
+    gradient (an input's `_Node`, or the input itself for a leaf), its
+    backward rule and its pending gradient. It never holds its
     output tensor; the rule holds the arrays it reads, and nothing else.
     ``backward()`` sets the rule to None once it has run, which frees those
     arrays and marks the node as backpropagated."""
@@ -153,13 +155,13 @@ class Tensor:
     """Dense nd-array with optional gradient tracking.
 
     ``data`` is always a numpy float array. A tensor that a recorded op made
-    points to that op's `_Node`; a leaf with ``requires_grad`` is its own
-    node, and ``backward()`` leaves its gradient in ``grad``. For a tensor
-    with a node, ``grad``, ``_parents`` and ``_backward`` are the node's: its
-    pending gradient, its input nodes and its rule.
+    points to that op's `_Node` in ``_node``, which holds its pending
+    gradient, and its ``grad`` stays None. A leaf has no node: with
+    ``requires_grad`` it is itself an input of its consumers' nodes, and
+    ``backward()`` leaves its gradient in ``grad``.
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -167,31 +169,8 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
-        self._grad: np.ndarray | None = None
+        self.grad: np.ndarray | None = None
         self._node: _Node | None = None
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self._grad if self._node is None else self._node.grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        if self._node is None:
-            self._grad = value
-        else:
-            self._node.grad = value
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
-
-    @property
-    def _backward(self) -> Callable[[np.ndarray], None] | None:
-        return None if self._node is None else self._node._backward
-
-    @_backward.setter
-    def _backward(self, rule: Callable[[np.ndarray], None]) -> None:
-        self._node._backward = rule
 
     # -- basic introspection -------------------------------------------------
 
@@ -215,11 +194,11 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode pass seeded from this (scalar) tensor.
 
-        Only tensors with ``requires_grad`` keep their gradient. Any other
-        node's gradient is complete when the reverse walk reaches it, and the
-        node drops that gradient and its rule, with the arrays the rule
-        saved, as soon as the rule has run (or when the walk reaches it with
-        no gradient). So the pass reuses the memory it frees for the
+        Only leaves with ``requires_grad`` keep their gradient, in ``grad``.
+        A `_Node`'s gradient is complete when the reverse walk reaches it,
+        and the node drops that gradient and its rule, with the arrays the
+        rule saved, as soon as the rule has run (or when the walk reaches it
+        with no gradient). So the pass reuses the memory it frees for the
         gradients it allocates, and a graph can be backpropagated once: a
         second ``backward()`` through it raises RuntimeError before any
         gradient is touched. After the pass the graph holds only small nodes,
@@ -230,7 +209,7 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
         root = self if self._node is None else self._node
-        topo: list = []
+        topo: list[_Node] = []
         seen = set()
         stack: list[tuple] = [(root, False)]
         while stack:
@@ -238,9 +217,9 @@ class Tensor:
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if type(node) is not _Node or id(node) in seen:  # a leaf keeps its gradient
                 continue
-            if type(node) is _Node and node._backward is None:
+            if node._backward is None:
                 raise RuntimeError("backward() through a graph that has already been backpropagated")
             seen.add(id(node))
             stack.append((node, True))
@@ -249,11 +228,8 @@ class Tensor:
                     stack.append((p, False))
         root.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            rule = node._backward
-            if rule is None:  # a leaf: it keeps its gradient
-                continue
             if node.grad is not None:
-                rule(node.grad)
+                node._backward(node.grad)
                 node.grad = None
             node._backward = None
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .config import DTYPES, RunConfig, to_model_spec
 from .data import synth_dataset
+from .embed import ConfigError
 from .model import Classifier, build_model
 from .tensor import Tensor, cross_entropy, no_grad
 
@@ -23,12 +24,11 @@ class DivergenceError(RuntimeError):
 class AdamW:
     """Adam with decoupled weight decay applied directly to the parameters."""
 
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float = 1e-3, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -79,6 +79,9 @@ def train_toy(cfg: RunConfig, model: Classifier | None = None,
               stop_when_perfect: bool = True, log=None) -> tuple[Classifier, TrainResult]:
     """Overfit the synthetic dataset; deterministic given cfg.seed."""
     spec = to_model_spec(cfg)
+    if spec.input_size[0] != spec.input_size[1]:
+        raise ConfigError("input {}x{} must be square: the synthetic dataset draws square images"
+                          .format(*spec.input_size))
     dtype = DTYPES[cfg.dtype]
     images, labels = synth_dataset(cfg.seed, cfg.samples, spec.input_size[0], spec.classes)
     images = images.astype(dtype)

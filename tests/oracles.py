@@ -235,9 +235,10 @@ def scaled_backward(op, factor: float = 1.05):
 
     def wrapped(*args, **kwargs):
         out = op(*args, **kwargs)
-        rule = out._backward
-        if rule is not None:
-            out._backward = lambda g: rule(g * factor)
+        node = out._node
+        if node is not None:
+            rule = node._backward
+            node._backward = lambda g: rule(g * factor)
         return out
 
     return wrapped

@@ -147,6 +147,22 @@ class TestForward:
         assert code == 0
         assert "logits (1, 10)" in out
 
+    @pytest.mark.parametrize("dtype, expected", [("f32", np.float32), ("f64", np.float64)])
+    def test_config_dtype_sets_model_and_input(self, capsys, tmp_path, monkeypatch, dtype, expected):
+        seen = []
+
+        def spy(model, x):
+            logits = xfmr.model_forward(model, x)
+            seen.append((x.dtype, logits.dtype))
+            return logits
+
+        monkeypatch.setattr(xfmr.cli, "model_forward", spy)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"variant = toy\ndtype = {dtype}\n")
+        code, out, _ = run(capsys, "forward", "--config", str(path))
+        assert code == 0 and "logits (1, 10)" in out
+        assert seen == [(expected, expected)]
+
 
 class TestGradcheck:
     def test_toy_passes(self, toy_gradcheck_run):
@@ -494,9 +510,14 @@ class TestExitCodes:
         (("train-toy",), stage_sections("4, 8"), "error: explicit stages require input_size"),
         (("count",), "seed 3", "error: line 2: expected 'key = value'"),
         (("emit-config",), "[stage.x]\ndim = 4", "error: line 2: bad stage number in 'stage.x'"),
+        (("train-toy", "--size", "64", "96"), None,
+         "error: input 64x96 must be square: the synthetic dataset draws square images"),
+        (("train-toy", "--bias", "ape", "--size", "64", "96"), None,
+         "error: input 64x96 must be square: the synthetic dataset draws square images"),
     ], ids=["seed", "count-classes", "forward-classes", "zero-classes", "dtype", "steps", "batch",
             "samples", "lr", "weight-decay", "drop-path", "tol-nan", "tol-negative", "stage-heads",
-            "stage-blocks", "stages-without-input-size", "line-without-equals", "stage-number"])
+            "stage-blocks", "stages-without-input-size", "line-without-equals", "stage-number",
+            "non-square-toy", "non-square-toy-ape"])
     def test_bad_run_setting_is_2(self, capsys, tmp_path, argv, config, line):
         if config is not None:
             path = tmp_path / "bad.cfg"

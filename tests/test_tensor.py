@@ -326,8 +326,8 @@ class TestFusedTokenwise:
         r = np.random.default_rng(55)
         x = Tensor(r.standard_normal((2, 3, 4)), requires_grad=True)
         lin, mlp = Linear(r, 4, 5, np.float64), Mlp(r, 4, 8, np.float64)
-        assert lin(x)._parents == (x, lin.w, lin.b)
-        assert mlp(x)._parents == (x, mlp.fc1.w, mlp.fc1.b, mlp.fc2.w, mlp.fc2.b)
+        assert lin(x)._node._parents == (x, lin.w, lin.b)
+        assert mlp(x)._node._parents == (x, mlp.fc1.w, mlp.fc1.b, mlp.fc2.w, mlp.fc2.b)
 
     def test_macs_counted(self):
         r = np.random.default_rng(56)
@@ -834,7 +834,7 @@ class TestStandardLayers:
 
     def test_cross_entropy_is_one_node(self):
         logits = randt(4, 10, grad=True)
-        assert T.cross_entropy(logits, np.array([1, 2, 3, 4]))._parents == (logits,)
+        assert T.cross_entropy(logits, np.array([1, 2, 3, 4]))._node._parents == (logits,)
 
     def test_cross_entropy_against_log_sum_exp(self):
         x = rng.standard_normal((5, 7)) * 3.0
@@ -861,7 +861,18 @@ class TestAutodiffPlumbing:
         x = randt(3, grad=True)
         with T.no_grad():
             y = (x * 2.0).sum()
-        assert y._backward is None
+        assert y._node is None
+
+    def test_only_a_leaf_holds_a_gradient(self):
+        """An op output's pending gradient, inputs and rule are its `_Node`'s;
+        the tensor itself has none to read, and its ``grad`` stays None."""
+        x = randt(3, grad=True)
+        y = x * 2.0
+        for name in ("_grad", "_parents", "_backward"):
+            with pytest.raises(AttributeError):
+                getattr(y, name)
+        y.sum().backward()
+        assert y.grad is None and (x.grad == 2.0).all()
 
     def test_backward_requires_scalar(self):
         with pytest.raises(T.ShapeError):
@@ -879,16 +890,16 @@ class TestAutodiffPlumbing:
         u = h * 3.0
         loss = u.sum()
         seen = []
-        rule = h._backward
+        rule = h._node._backward
 
         def spy(g):
-            seen.append(u.grad is None)
+            seen.append(u._node.grad is None)
             rule(g)
 
-        h._backward = spy
+        h._node._backward = spy
         loss.backward()
         assert seen == [True]
-        assert h.grad is None and u.grad is None and loss.grad is None
+        assert h._node.grad is None and u._node.grad is None and loss._node.grad is None
         assert (x.grad == 6.0).all()
 
     def test_second_backward_through_a_graph_raises(self):
@@ -900,7 +911,7 @@ class TestAutodiffPlumbing:
         loss = h.sum()
         other = (h * 3.0).sum()
         loss.backward()
-        assert h._backward is None and loss._backward is None
+        assert h._node._backward is None and loss._node._backward is None
         x_grad, w_grad = x.grad, w.grad
         expected_x, expected_w = x_grad.copy(), w_grad.copy()
         for again in (loss, other):
@@ -908,7 +919,7 @@ class TestAutodiffPlumbing:
                 again.backward()
             assert x.grad is x_grad and w.grad is w_grad
             assert np.array_equal(x.grad, expected_x) and np.array_equal(w.grad, expected_w)
-        assert other.grad is None and other._backward is not None
+        assert other._node.grad is None and other._node._backward is not None
 
     def test_operands_of_add_get_separate_writable_grads(self):
         a, b = randt(3, 4, grad=True), randt(3, 4, grad=True)

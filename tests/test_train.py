@@ -110,6 +110,16 @@ class TestTrainToy:
         with pytest.raises(ConfigError, match="1000 requested"):
             train_toy(RunConfig(variant="tiny"))
 
+    def test_non_square_input_refused_before_the_model_is_built(self, monkeypatch):
+        # the synthetic dataset draws square images, so a 64x96 model would
+        # be handed 64x64 ones
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built before the input-size check")
+
+        monkeypatch.setattr(xfmr.train, "build_model", no_model)
+        with pytest.raises(ConfigError, match="^input 64x96 must be square"):
+            train_toy(short_cfg(input_size=(64, 96)))
+
 
 class TestGradientLifetime:
     def test_backward_peak_stays_below_forward_graph(self):
