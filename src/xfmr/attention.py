@@ -195,7 +195,7 @@ class GroupedAttention(Module):
         mixed = attend_tokens(*self.qkv(g, kv), bias, key_logits)
         return self.out_proj(mixed.permute(0, 1, 3, 2, 4).reshape(g.shape))
 
-    def __call__(self, g: Tensor, layout: GroupLayout) -> Tensor:
+    def forward(self, g: Tensor, layout: GroupLayout) -> Tensor:
         bias = None
         if self.bias is not None:
             bias = self.bias.bias_matrix(layout).permute(2, 0, 1)  # (heads, S, S)
@@ -221,7 +221,7 @@ class PooledFullAttention(GroupedAttention):
         pooled = _split(x, self.reduction).mean(axis=(2, 4))
         return pooled.reshape(pooled.shape[0], 1, *pooled.shape[1:])
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         """Attention output (N, H, W, dim) of a batch (N, H, W, dim)."""
         n, h, w, dim = x.shape
         g = x.reshape(n, 1, h, w, dim)  # one group holding every token, on its grid

@@ -138,7 +138,7 @@ class AbsolutePositionEmbedding(Module):
         self.grid = grid
         self.embedding = Tensor(trunc_normal(rng, (*grid, dim), dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         h, w = x.shape[-3], x.shape[-2]
         if (h, w) != self.grid:
             raise BiasRangeError(

@@ -99,7 +99,7 @@ class CrossScaleEmbedding(Module):
             self.kernels.append(Tensor(trunc_normal(rng, (k, k, in_channels, d), dtype=dtype), requires_grad=True))
             self.biases.append(Tensor(np.zeros(d, dtype=dtype), requires_grad=True))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         h, w = x.shape[-3], x.shape[-2]
         self.spec.output_grid(h, w)
         pieces = []

@@ -44,7 +44,12 @@ def _walk(name: str, value):
 
 class Module:
     """Tiny parameter registry: any Tensor attribute is a parameter, any
-    Module (or nested list of Modules) is a child."""
+    Module (or nested list of Modules) is a child. A subclass computes in
+    ``forward``; every module call goes through ``Module.__call__``, the one
+    entry point, where per-module scopes are to be pushed."""
+
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
     def named_parameters(self, prefix: str = ""):
         for key, value in vars(self).items():
@@ -63,7 +68,7 @@ class Linear(Module):
         self.w = Tensor(trunc_normal(rng, (d_in, d_out), dtype=dtype), requires_grad=True)
         self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return T.linear(x, self.w, self.b)
 
 
@@ -73,7 +78,7 @@ class LayerNorm(Module):
         self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
@@ -86,7 +91,7 @@ class Mlp(Module):
         self.fc1 = Linear(rng, dim, hidden, dtype)
         self.fc2 = Linear(rng, hidden, dim, dtype)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return T.mlp(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
 
 

@@ -239,7 +239,7 @@ class Block(Module):
             layout = build_layout(self.mode, x.shape[1], x.shape[2], self.group_size)
         return ungroup(self.attn(group(x, layout), layout), layout)
 
-    def __call__(self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         def residual(branch: Tensor) -> Tensor:
             if train and self.drop_rate > 0.0:
                 return branch * drop_path_mask(rng, x.shape[0], self.drop_rate, branch.data.ndim,
@@ -276,7 +276,8 @@ class Classifier(Module):
         self.final_norm = LayerNorm(spec.stages[3].dim, dtype)
         self.head = Linear(rng, spec.stages[3].dim, spec.classes, dtype)
 
-    def features(self, x: Tensor, train: bool = False, rng=None) -> Tensor:
+    def forward(self, x: Tensor, train: bool = False, rng=None) -> Tensor:
+        """Logits (N, classes) of a batch (N, H, W, 3)."""
         if x.data.dtype != self.dtype:
             x = Tensor(x.data.astype(self.dtype), requires_grad=x.requires_grad)
         for s, (cel, blocks) in enumerate(zip(self.cels, self.stages)):
@@ -285,11 +286,6 @@ class Classifier(Module):
                 x = self.ape(x)
             for block in blocks:
                 x = block(x, train=train, rng=rng)
-        return x
-
-    def __call__(self, images: Tensor, train: bool = False, rng=None) -> Tensor:
-        """Logits (N, classes) of a batch (N, H, W, 3)."""
-        x = self.features(images, train=train, rng=rng)
         x = self.final_norm(x)
         x = x.mean(axis=(1, 2))
         return self.head(x)

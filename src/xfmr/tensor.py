@@ -776,8 +776,7 @@ def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding:
             xq[:, padding : padding + h, padding : padding + w] = x[:, : hq * s - padding, : wq * s - padding]
         return xq.reshape(n, hq, s, wq, s, cin).transpose(0, 1, 3, 2, 4, 5).reshape(-1, s * s * cin)
 
-    kq = np.zeros((q * s, r * s, cin, cout), dtype=kernel.data.dtype)
-    kq[:kh, :kw] = kernel.data
+    kq = np.pad(kernel.data, ((0, q * s - kh), (0, r * s - kw), (0, 0), (0, 0)))
     kmat = kq.reshape(q, s, r, s, cin, cout).transpose(1, 3, 4, 0, 2, 5).reshape(s * s * cin, q * r * cout)
 
     xs = blocks()

@@ -52,7 +52,7 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            p.data -= (lr * (update + self.weight_decay * p.data)).astype(p.data.dtype)
+            p.data -= (lr * (update + self.weight_decay * p.data)).astype(p.data.dtype, copy=False)
 
 
 def cosine_lr(base: float, step: int, total: int, warmup: int = 0) -> float:

@@ -52,10 +52,11 @@ class TestParamCounting:
         assert count_params(spec).total == param_total(model)
 
     def test_totals_equal_sum_of_parts(self):
-        report = count_params(build_variant("small"))
-        assert report.total == sum(report.entries.values())
-        assert sum(report.by_stage().values()) == report.total
-        assert sum(report.by_mechanism().values()) == report.total
+        for count in (count_params, count_flops):
+            report = count(build_variant("small"))
+            assert report.total == sum(report.entries.values())
+            assert sum(report.by_stage().values()) == report.total
+            assert sum(report.by_mechanism().values()) == report.total
 
 
 class TestFlopCounting:

@@ -37,3 +37,37 @@ def test_every_tensor_export_has_a_caller():
                 used.update(alias.name for alias in node.names)
     uncalled = {name for name in xfmr.tensor.__all__ if name not in used}
     assert uncalled == set(UNCALLED_TENSOR_EXPORTS)
+
+
+# the module classes that compute, each in its own ``forward``
+FORWARD_CLASSES = {
+    "layers": ("Linear", "LayerNorm", "Mlp"),
+    "bias": ("AbsolutePositionEmbedding",),
+    "attention": ("GroupedAttention", "PooledFullAttention"),
+    "embed": ("CrossScaleEmbedding",),
+    "model": ("Block", "Classifier"),
+}
+
+
+def test_module_call_is_the_one_entry_point():
+    """``Module`` is the only class of the package that defines ``__call__``,
+    and every computing module class defines ``forward``."""
+    modules = [importlib.import_module(f"xfmr.{m.name}") for m in pkgutil.iter_modules(xfmr.__path__)]
+    callers = {f"{cls.__module__}.{cls.__qualname__}" for module in modules
+               for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__.startswith("xfmr") and "__call__" in vars(cls)}
+    assert callers == {"xfmr.layers.Module"}
+    for name, classes in FORWARD_CLASSES.items():
+        module = importlib.import_module(f"xfmr.{name}")
+        for cls in classes:
+            assert "forward" in vars(getattr(module, cls)), f"xfmr.{name}.{cls}"
+
+
+def test_module_call_passes_arguments_to_forward():
+    class Probe(xfmr.layers.Module):
+        def forward(self, *args, **kwargs):
+            return args, kwargs, self
+
+    probe = Probe()
+    token = object()
+    assert probe(1, token, train=True, rng=None) == ((1, token), {"train": True, "rng": None}, probe)

@@ -112,13 +112,26 @@ class TestVariantTables:
             ModelSpec(stages=(stages[0], bad, stages[2], stages[3]))
 
 
+def last_stage_tokens(model, x: Tensor) -> Tensor:
+    """The tokens a full forward of ``model`` hands to its final norm: the
+    last stage's output (N, h, w, dim)."""
+    seen = []
+    norm = model.final_norm
+    model.final_norm = lambda t: seen.append(t) or norm(t)
+    try:
+        model(x)
+    finally:
+        model.final_norm = norm
+    return seen[0]
+
+
 class TestForward:
     def test_toy_shape_chain(self):
         spec = replace(toy_spec(), classes=4)
         model = build_model(spec, seed=0)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 64, 64, 3)).astype(np.float32))
         with no_grad():
-            feats = model.features(x)
+            feats = last_stage_tokens(model, x)
             logits = model(x)
         assert feats.shape == (2, 2, 2, 128)
         assert logits.shape == (2, 4)
@@ -156,10 +169,10 @@ class TestForward:
                 block.mlp.fc2.b.data[:] = 0
         x = Tensor(np.random.default_rng(3).standard_normal((1, 64, 64, 3)).astype(np.float32))
         with no_grad():
-            withblocks = model.features(x).data
+            withblocks = last_stage_tokens(model, x).data
             for blocks in model.stages:
                 blocks.clear()  # CELs only
-            celonly = model.features(x).data
+            celonly = last_stage_tokens(model, x).data
         assert np.abs(withblocks - celonly).max() <= 1e-6
 
     def test_blocks_alternate_sda_then_lda(self):
