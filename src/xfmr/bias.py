@@ -9,10 +9,15 @@ added once after the first stage instead).
 The dynamic provider never goes out of range: its bias table is rebuilt for
 whatever slot extent a layout asks for, by one batched MLP pass over every
 possible offset pair, which is O(G^2) rows instead of the O(G^4) cost of
-evaluating every slot pair directly. Each row of that pass is bitwise equal
-to evaluating its offset alone; the tests' per-offset oracle,
-``dpb_offset_row`` in ``tests/oracles.py``, runs the MLP from the module's
-parameters one offset at a time.
+evaluating every slot pair directly. Each layer of that pass is a batch of
+one-row products, ``matmul`` of the (R, 1, K) rows then ``add`` of the bias,
+which run the BLAS call a lone offset's (1, K) product makes. So each row,
+and each row's contribution to the gradients, is bitwise equal to evaluating
+its offset alone; the tests' per-offset oracle, ``dpb_offset_row`` in
+``tests/oracles.py``, runs the MLP from the module's parameters one offset
+at a time. The one exception is the output bias gradient of a one-head
+provider: ``add`` reduces its contiguous (R, 1, 1) gradient, which numpy
+sums pairwise rather than in row order, so it differs in the last bits.
 """
 
 from __future__ import annotations
@@ -83,6 +88,12 @@ def _slot_pair_bias(table: Tensor, layout: GroupLayout) -> Tensor:
     return T.index_rows(table.reshape(th * tw, heads), idx)
 
 
+def _per_row_linear(fc: Linear, x: Tensor) -> Tensor:
+    """``fc`` applied to each (K,) row of an (R, K) ``x`` as its own one-row product."""
+    r, k = x.shape
+    return (T.matmul(x.reshape(r, 1, k), fc.w) + fc.b).reshape(r, fc.w.shape[1])
+
+
 class DynamicPositionBias(Module):
     """MLP mapping a relative offset (dx, dy) to one bias value per head."""
 
@@ -108,11 +119,11 @@ class DynamicPositionBias(Module):
                              indexing="ij")
         x = Tensor(np.stack([dx.ravel(), dy.ravel()], axis=1).astype(self.dtype))
         self.eval_count += x.shape[0]
-        x = T.linear_rows(x, self.fc_in.w, self.fc_in.b)
+        x = _per_row_linear(self.fc_in, x)
         for norm, fc in ((self.norm1, self.fc1), (self.norm2, self.fc2)):
-            y = T.linear_rows(T.relu(norm(x)), fc.w, fc.b)
+            y = _per_row_linear(fc, T.relu(norm(x)))
             x = x + y if self.residual else y
-        rows = T.linear_rows(T.relu(self.norm3(x)), self.fc_out.w, self.fc_out.b)
+        rows = _per_row_linear(self.fc_out, T.relu(self.norm3(x)))
         return rows.reshape(2 * slots_h - 1, 2 * slots_w - 1, self.heads)
 
     def bias_matrix(self, layout: GroupLayout) -> Tensor:

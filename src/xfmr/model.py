@@ -260,8 +260,7 @@ class Classifier(Module):
     def __init__(self, spec: ModelSpec, rng: np.random.Generator | None, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        total = spec.total_blocks()
-        rates = iter(np.linspace(0.0, spec.drop_path_max, total) if total > 1 else np.zeros(1))
+        rates = iter(np.linspace(0.0, spec.drop_path_max, spec.total_blocks()))
         self.cels = []
         self.stages = []
         in_ch = 3

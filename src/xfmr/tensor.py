@@ -19,8 +19,8 @@ What each kind of op keeps on the tape, until its rule has run:
 - ``mul``: each operand only if the other one needs a gradient;
 - ``relu``: its output, whose sign is the mask (the bias MLP's next linear
   keeps that array anyway);
-- ``matmul``, ``linear``, ``mlp``, ``linear_rows`` and ``conv2d``: their
-  inputs (``mlp`` also its GELU output and slope);
+- ``matmul``, ``linear``, ``mlp`` and ``conv2d``: their inputs (``mlp``
+  also its GELU output and slope);
 - ``gelu``, ``softmax_lastdim``, ``layer_norm`` and ``cross_entropy``: their
   own saved arrays (slope, probabilities, normalized input, log-probabilities).
 
@@ -44,7 +44,6 @@ __all__ = [
     "matmul",
     "linear",
     "mlp",
-    "linear_rows",
     "conv2d",
     "relu",
     "gelu",
@@ -97,7 +96,7 @@ def no_grad():
 
 class MacCounter:
     """Counts multiply-accumulate operations executed by ``matmul``,
-    ``linear``, ``mlp``, ``linear_rows`` and ``conv2d``.
+    ``linear``, ``mlp`` and ``conv2d``.
 
     One MAC is one multiply-add; softmax, norms, activations and bias adds
     are not counted. Counters nest: every active counter sees every MAC.
@@ -694,38 +693,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         _folded_grads(ga, xd, nx, w1d, nw1)
 
     return _make(out, nodes, _bw)
-
-
-def linear_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of (R, K) rows, each row computed alone.
-
-    Every output row, and every row's contribution to the gradients, is
-    bitwise what a lone (1, K) ``matmul(row, w) + b`` on the tape gives:
-    the stacked M=1 products each run the BLAS call a one-row ``matmul``
-    makes, and the ``w``/``b`` gradients sum exact per-row outer products
-    in row order, the order in which separate per-row nodes accumulate.
-    A single GEMM over all rows would round differently.
-    """
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError(f"linear_rows wants (R, K) @ (K, N) + (N,), got "
-                         f"{x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    if x.data.shape[1] != w.data.shape[0] or b.data.shape[0] != w.data.shape[1]:
-        raise ShapeError(f"linear_rows extents differ: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    xd, wd, nx, nw, nb = x.data, w.data, _node_of(x), _node_of(w), _node_of(b)
-    _record_macs(xd.size * wd.shape[1])
-
-    def _bw(g):
-        if nx is not None:
-            _accumulate(nx, np.matmul(g[:, None, :], wd.T)[:, 0, :])
-        # "+ 0.0" turns -0.0 into +0.0, as the zero-started one-term sums of
-        # a one-row matmul and bias broadcast do
-        if nw is not None:
-            outer = xd[:, :, None] * g[:, None, :] + 0.0
-            _accumulate(nw, np.add.accumulate(outer, axis=0)[-1])
-        if nb is not None:
-            _accumulate(nb, np.add.accumulate(g + 0.0, axis=0)[-1])
-
-    return _make(np.matmul(xd[:, None, :], wd)[:, 0, :] + b.data, (nx, nw, nb), _bw)
 
 
 def conv2d(t: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding: int) -> Tensor:

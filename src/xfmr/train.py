@@ -67,8 +67,11 @@ def cosine_lr(base: float, step: int, total: int, warmup: int = 0) -> float:
 class TrainResult:
     losses: list[float] = field(default_factory=list)
     accuracies: list[float] = field(default_factory=list)
-    steps_run: int = 0
     reached_full_accuracy_at: int | None = None
+
+    @property
+    def steps_run(self) -> int:
+        return len(self.losses)
 
     @property
     def final_accuracy(self) -> float:
@@ -114,7 +117,6 @@ def train_toy(cfg: RunConfig, model: Classifier | None = None,
             acc = float((full.data.argmax(axis=1) == labels).mean())
         result.losses.append(loss_val)
         result.accuracies.append(acc)
-        result.steps_run = step + 1
         if acc == 1.0 and result.reached_full_accuracy_at is None:
             result.reached_full_accuracy_at = step + 1
         if log is not None and (step % 25 == 0 or acc == 1.0):

@@ -190,48 +190,6 @@ class TestFoldedMatmul:
         assert c.macs == int(np.prod(out.shape)) * 6
 
 
-class TestLinearRows:
-    def test_equals_per_row_tape_bitwise(self):
-        # a zero input column and a -0.0 loss-weight column give signed-zero
-        # gradient terms, which a one-row matmul and bias add turn into +0.0
-        x0 = rng.standard_normal((6, 5))
-        x0[:, 1] = 0.0
-        w0, b0 = rng.standard_normal((5, 3)), rng.standard_normal(3)
-        weights = rng.standard_normal((6, 3))
-        weights[:, 2] = -0.0
-
-        def run(forward):
-            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
-            out = forward(x, w, b)
-            (out * weights).sum().backward()
-            return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
-
-        def per_row(x, w, b):
-            return T.concat([T.matmul(T.index_rows(x, np.array([r])), w) + b for r in range(6)])
-
-        assert run(T.linear_rows) == run(per_row)
-
-    def test_macs_counted(self):
-        with T.count_macs() as c:
-            T.linear_rows(randt(7, 4), randt(4, 3), randt(3))
-        assert c.macs == 7 * 4 * 3
-
-    def test_grad(self):
-        x, w, b = randt(5, 4, grad=True), randt(4, 3, grad=True), randt(3, grad=True)
-        weights = rng.standard_normal((5, 3))
-        rep = grad_check(lambda: (T.linear_rows(x, w, b) * weights).sum(),
-                         [("x", x), ("w", w), ("b", b)], tol=1e-8)
-        assert rep.passed, rep.summary()
-
-    def test_bad_rank_raises(self):
-        with pytest.raises(T.ShapeError):
-            T.linear_rows(randt(2, 5, 4), randt(4, 3), randt(3))
-        with pytest.raises(T.ShapeError):
-            T.linear_rows(randt(5, 4), randt(4, 3), randt(1, 3))
-        with pytest.raises(T.ShapeError):
-            T.linear_rows(randt(5, 4), randt(3, 3), randt(3))
-
-
 def _token_matmul(x, w):
     """(..., K) @ (K, N) on the tape: the rows folded by hand into one 2-D ``matmul``."""
     lead = x.shape[:-1]
