@@ -187,7 +187,13 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    """The config in the UTF-8 text file ``path``; `ConfigError` names a file
+    that is not UTF-8."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_config(text)
 
 
 def to_model_spec(cfg: RunConfig) -> ModelSpec:

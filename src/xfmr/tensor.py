@@ -24,8 +24,8 @@ What each kind of op keeps on the tape, until its rule has run:
 - ``gelu``, ``softmax_lastdim``, ``layer_norm`` and ``cross_entropy``: their
   own saved arrays (slope, probabilities, normalized input, log-probabilities).
 
-The float32 engine needs numpy only. float64 GELU loads scipy's erf on first
-use, so that the verification path is scipy's formula byte for byte.
+The engine needs numpy only. GELU's Φ is a numpy port of scipy's ndtr in
+float32 and in float64 (see `_phi`).
 """
 
 from __future__ import annotations
@@ -78,6 +78,13 @@ _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180
            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
 _ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# float64 Φ(x) = 0.5 + 0.5·erf(z), z = x/√2, erf(z) = z·T(z²)/U(z²) for |z| < 1
+# (cephes' erf, as scipy's ndtr takes it), `_ndtr_tail` beyond; U is monic.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_FAR = 1.0 - 2.0**-53  # the double below 1: z² > _ERF_FAR exactly when |z| ≥ 1
 _PHI_CHUNK = 32768  # values per pass, so that a chunk and its scratch stay in cache
 _NARROW_MAX = 16  # widest rows whose maximum is taken column by column
 
@@ -386,25 +393,30 @@ def relu(t: Tensor) -> Tensor:
 def _phi(x: np.ndarray, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Standard normal CDF of a flat chunk ``x`` into ``phi``, ``u`` being
     scratch of the same size; returns the indices of ``x``'s infinite entries.
-    float64 computes 0.5·(1 + erf(x/√2)) with scipy's erf, imported on first
-    use; float32 needs numpy only: the polynomial for |x| ≤ _PHI_POLY_MAX, in
-    place, and `_ndtr_tail` beyond, which gives scipy's float32 ndtr bitwise."""
-    if x.dtype != np.float32:
-        from scipy.special import erf
-
-        np.multiply(x, _INV_SQRT2, out=phi)
-        erf(phi, out=phi)
-        phi += 1.0
-        phi *= 0.5
-        return np.flatnonzero(np.isinf(x))
-    with np.errstate(over="ignore"):  # P overflows at huge |x|; the tail overwrites those
-        np.multiply(x, x, out=u)
-        _polevl(u, _PHI_POLY, out=phi)
-        phi *= x
-        phi += 0.5
-        if u.max() <= _PHI_POLY_MAX * _PHI_POLY_MAX:  # False also when a NaN makes the max NaN
+    Near zero each dtype has its own approximant, computed in place: float32
+    0.5 + x·P(x²) for |x| ≤ _PHI_POLY_MAX, float64 cephes' 0.5 + 0.5·erf(x/√2)
+    for |x| < √2, which is scipy's float64 ndtr bitwise. Beyond, both take
+    `_ndtr_tail`, which gives scipy's float32 ndtr bitwise and its float64
+    ndtr within 4 ulp wherever that is a normal float."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge |x| overflow the approximants; the tail overwrites those
+        if x.dtype == np.float32:
+            np.multiply(x, x, out=u)
+            _polevl(u, _PHI_POLY, out=phi)
+            phi *= x
+            phi += 0.5
+            far_sq = _PHI_POLY_MAX * _PHI_POLY_MAX
+        else:
+            np.multiply(x, _INV_SQRT2, out=phi)
+            np.multiply(phi, phi, out=u)
+            t = _polevl(u, _ERF_T)
+            phi *= t
+            phi /= _polevl(u, _ERF_U, out=t)
+            phi *= 0.5
+            phi += 0.5
+            far_sq = _ERF_FAR
+        if u.max() <= far_sq:  # False also when a NaN makes the max NaN
             return np.empty(0, np.intp)
-        far = np.flatnonzero(u > _PHI_POLY_MAX * _PHI_POLY_MAX)
+        far = np.flatnonzero(u > far_sq)
     xfar = x[far]
     phi[far] = _ndtr_tail(xfar)
     return far[np.isinf(xfar)]
@@ -422,12 +434,12 @@ def _polevl(z: np.ndarray, coefs: tuple[float, ...], out: np.ndarray | None = No
 
 
 def _ndtr_tail(a: np.ndarray) -> np.ndarray:
-    """scipy's ndtr of the float32 values ``a``, each |a| > 1, in float64:
-    cephes' erfc branch, y = 0.5·erfc(z) with z = |a|/√2, and 1 - y where
-    a > 0. Rounded to float32 it is scipy's float32 ndtr bit for bit."""
+    """scipy's ndtr of the float32 or float64 values ``a``, each |a| ≥ √2, in
+    float64: cephes' erfc branch, y = 0.5·erfc(z) with z = |a|/√2, and 1 - y
+    where a > 0. Rounded to float32 it is scipy's float32 ndtr bit for bit."""
     z = np.abs(a, dtype=np.float64)
     z *= _INV_SQRT2
-    np.minimum(z, 1e39, out=z)  # ±inf: beyond every finite float32, where y is 0 and Φ 0 or 1
+    np.minimum(z, 1e39, out=z)  # ±inf and huge |a|: y is 0 there, and Φ 0 or 1
     y = z * z
     np.negative(y, out=y)
     np.exp(y, out=y)
@@ -470,11 +482,12 @@ def _gelu_rows(h: np.ndarray, out: np.ndarray, slope: np.ndarray | None, bias: n
         with np.errstate(invalid="ignore"):  # -inf·Φ(-inf) is -inf·0, set below
             np.multiply(x, ph, out=y)
         if slope is not None:
-            np.multiply(x, -0.5, out=uc)  # φ(x) = exp(-x·x/2)/√(2π), in the order of -0.5·x·x
-            uc *= x
-            np.exp(uc, out=uc)
-            uc *= _INV_SQRT_2PI
-            with np.errstate(invalid="ignore"):  # ±inf·0 at ±inf, where the slope is Φ
+            # x·x overflows at huge |x|, where φ is 0; ±inf·0 at ±inf, where the slope is Φ
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(x, -0.5, out=uc)  # φ(x) = exp(-x·x/2)/√(2π), in the order of -0.5·x·x
+                uc *= x
+                np.exp(uc, out=uc)
+                uc *= _INV_SQRT_2PI
                 uc *= x
             sl = slope[s : s + step].reshape(-1)
             np.add(ph, uc, out=sl)
@@ -488,12 +501,12 @@ def gelu(t: Tensor) -> Tensor:
     """Gaussian error linear unit x·Φ(x), Φ the standard normal CDF.
 
     One tape node that keeps its slope Φ + x·φ(x), computed with the value,
-    and no other array. float64 computes Φ as 0.5·(1 + erf(x/√2)) with
-    scipy's erf, loaded on first use. float32 needs numpy only (see `_phi`):
-    a polynomial for |x| ≤ 1.5 and a port of scipy's ndtr beyond; against
-    f64 x·ndtr(x) its output is within 3.9e-7 absolute everywhere and 14 ulp
-    for |x| ≤ 3. At ±inf the value and the slope are their limits, -0 and 0 at
-    -inf, inf and 1 at +inf.
+    and no other array. Φ is computed in numpy (see `_phi`). float32 takes a
+    polynomial for |x| ≤ 1.5 and a port of scipy's ndtr beyond; against f64
+    x·ndtr(x) its output is within 3.9e-7 absolute everywhere and 14 ulp for
+    |x| ≤ 3. float64 takes cephes' erf for |x| < √2 and the same port beyond;
+    its output is within 4.4e-16 of x·ndtr(x). At ±inf the value and the
+    slope are their limits, -0 and 0 at -inf, inf and 1 at +inf.
     """
     x, nt = t.data, _node_of(t)
     out = np.empty(x.shape, x.dtype)

@@ -461,6 +461,16 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines() == ["error: [stage.2] at line 11: dim 48 must double the previous stage's dim 16"]
 
+    @pytest.mark.parametrize("argv", [("emit-config",), ("count",), ("forward",), ("gradcheck",),
+                                      ("train-toy", "--steps", "1")], ids=lambda argv: argv[0])
+    def test_non_utf8_config_is_2(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00" + "variant = toy\n".encode("utf-16-le"))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {cfg}: not UTF-8 text (byte 0)"]
+
     def test_emitted_toy_config_with_too_many_classes_is_2(self, capsys, tmp_path):
         code, text, _ = run(capsys, "emit-config", "--variant", "toy")
         assert code == 0 and "classes" not in text

@@ -604,20 +604,49 @@ class TestStandardLayers:
         out = T.relu(Tensor(np.array([-1.0, 2.0])))
         assert out.data.tolist() == [0.0, 2.0]
 
-    @pytest.mark.parametrize("dtype", [np.float64])
-    def test_gelu_bitwise_equal_to_formula(self, dtype):
-        from scipy.special import erf
+    def test_float64_phi_is_scipy_ndtr(self):
+        # float64 Φ is cephes' erf form of scipy's ndtr for |x| < √2, bitwise,
+        # and the float32 engine's tail beyond: within 4 ulp where ndtr is a
+        # normal float. Below x ≈ -37.6 scipy flushes Φ to 0, where the tail
+        # keeps a subnormal.
+        from scipy.special import ndtr
 
-        x = np.concatenate([rng.standard_normal(2000) * 4, [0.0, -0.0, 40.0, -40.0, 1e-30]]).astype(dtype)
-        g = rng.standard_normal(x.shape).astype(dtype)
-        phi = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+        r = np.random.default_rng(11)
+        root2 = np.sqrt(2.0)
+        edge = np.nextafter(root2, 0.0)
+        x = np.concatenate([
+            r.uniform(-root2, root2, 200_000), r.uniform(-40.0, 40.0, 200_000), r.uniform(-39.0, -37.0, 2000),
+            [edge, -edge, root2, -root2, 1e-310, -5e-324, 8.3, -8.3, 37.6, -37.6],
+        ])
+        phi = np.empty_like(x)
+        assert T._phi(x, phi, np.empty_like(x)).size == 0
+        ref = ndtr(x)
+        near = np.abs(x) < root2
+        assert (phi[near].view(np.int64) == ref[near].view(np.int64)).all()
+        normal = ref >= np.finfo(np.float64).tiny
+        assert (np.abs(phi - ref)[normal] <= 4 * np.spacing(ref[normal])).all()
+        tiny = ~normal & ~near
+        assert ((ref[tiny] == 0) & (phi[tiny] > 0)).sum() > 100
+        assert (np.abs(phi - ref)[tiny] <= 6e-311).all()
+        g = r.standard_normal(x.shape)  # the value and the slope come from the same Φ
         dens = np.exp(-0.5 * x * x) * 0.3989422804014327
         t = Tensor(x, requires_grad=True)
         out = T.gelu(t)
         (out * Tensor(g)).sum().backward()
-        assert out.data.dtype == dtype
-        assert out.data.tobytes() == (x * phi).astype(dtype).tobytes()
+        assert out.data.tobytes() == (x * phi).tobytes()
         assert t.grad.tobytes() == (g * (phi + x * dens)).tobytes()
+
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+        t = Tensor(special, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            inf = T._phi(special, phi[: special.size], np.empty_like(special))
+            out = T.gelu(t)
+            out.sum().backward()
+        assert phi[: special.size].tobytes() == np.array([0.5, 0.5, 1.0, 0.0, np.nan, 1.0, 0.0]).tobytes()
+        assert inf.tolist() == [2, 3]
+        assert out.data.tobytes() == np.array([0.0, -0.0, np.inf, -0.0, np.nan, 1e300, -0.0]).tobytes()
+        assert t.grad.tobytes() == np.array([0.5, 0.5, 1.0, 0.0, np.nan, 1.0, 0.0]).tobytes()
 
     def test_gelu_float32_accuracy(self):
         from scipy.special import ndtr
@@ -682,29 +711,33 @@ class TestStandardLayers:
         nan_only = T.gelu(Tensor(np.array([np.nan, 0.5], f32))).data  # a NaN, no far value
         assert np.isnan(nan_only[0]) and nan_only[1] == T.gelu(Tensor(np.array([0.5], f32))).data[0]
 
-    def test_float32_engine_does_not_load_scipy_special(self):
-        # one float32 toy training step, its GELUs reaching the far tail
-        # (the MLPs' fc1 weights scaled up), leaves scipy.special unloaded;
-        # one float64 gelu loads it
+    def test_engine_does_not_load_scipy(self):
+        # a float32 and a float64 toy training step, their GELUs reaching the
+        # far tail (the MLPs' fc1 weights scaled up), a float64 gelu and a
+        # small float64 gradcheck leave scipy unloaded
         probe = "\n".join([
             "import sys",
             "import numpy as np",
             "import xfmr.tensor as T",
             "from xfmr import RunConfig, build_model",
-            "from xfmr.config import to_model_spec",
+            "from xfmr.config import DTYPES, to_model_spec",
+            "from xfmr.gradcheck import grad_check",
             "from xfmr.train import train_toy",
             "tail, far = T._ndtr_tail, []",
             "T._ndtr_tail = lambda a: far.append(a.size) or tail(a)",
-            "cfg = RunConfig(variant='toy', classes=4, steps=1, samples=8, batch=8, seed=0)",
-            "model = build_model(to_model_spec(cfg), seed=0)",
-            "for name, p in model.named_parameters():",
-            "    if name.endswith('mlp.fc1.w'):",
-            "        p.data *= 4",
-            "train_toy(cfg, model=model, stop_when_perfect=False)",
-            "assert sum(far) > 0, far",
-            "assert 'scipy.special' not in sys.modules",
-            "T.gelu(T.Tensor(np.ones(3)))",
-            "assert 'scipy.special' in sys.modules",
+            "for dtype in ('f32', 'f64'):",
+            "    far.clear()",
+            "    cfg = RunConfig(variant='toy', classes=4, steps=1, samples=8, batch=8, seed=0, dtype=dtype)",
+            "    model = build_model(to_model_spec(cfg), seed=0, dtype=DTYPES[dtype])",
+            "    for name, p in model.named_parameters():",
+            "        if name.endswith('mlp.fc1.w'):",
+            "            p.data *= 4",
+            "    train_toy(cfg, model=model, stop_when_perfect=False)",
+            "    assert sum(far) > 0, (dtype, far)",
+            "T.gelu(T.Tensor(np.linspace(-3.0, 3.0, 7)))",
+            "x = T.Tensor(np.linspace(-3.0, 3.0, 6).reshape(2, 3), requires_grad=True)",
+            "assert grad_check(lambda: (T.gelu(x) * 0.7).sum(), [('x', x)], tol=1e-6).passed",
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'",
         ])
         src = str(Path(T.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
