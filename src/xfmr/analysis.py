@@ -6,14 +6,18 @@ normalization, activations and elementwise adds are not. These are the
 conventions under which the published reference budgets for comparable
 backbones (e.g. 4.5G for a 29M-parameter windowed baseline at 224^2) are
 reproducible. Attention costs use the padded token counts actually executed.
+
+Every count is of a model built from the spec and run at ``spec.input_size``;
+for another size, count ``dataclasses.replace(spec, input_size=...)``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
-from .bias import DYNAMIC_BIAS_KINDS, dpb_hidden_width
+from .bias import dpb_hidden_width
 from .model import MLP_RATIO, PVT_REDUCTIONS, ModelSpec, build_variant
 
 __all__ = [
@@ -76,83 +80,66 @@ def _linear_params(d_in: int, d_out: int) -> int:
     return d_in * d_out + d_out
 
 
-def _dpb_params(dim: int, heads: int) -> int:
-    h = dpb_hidden_width(dim)
-    total = _linear_params(2, h)
-    total += 2 * (2 * h + _linear_params(h, h))  # two [norm, relu, linear] blocks
-    total += 2 * h + _linear_params(h, heads)  # final [norm, relu, linear]
-    return total
-
-
-def _dpb_eval_macs(dim: int, heads: int) -> int:
-    h = dpb_hidden_width(dim)
-    return 2 * h + 2 * h * h + h * heads
-
-
-def count_params(spec: ModelSpec) -> CostReport:
-    report = CostReport("params")
-    in_ch = 3
-    for s, (stage, layouts) in enumerate(zip(spec.stages, spec.block_plan())):
-        key = f"stage{s + 1}"
-        for k, d in zip(stage.cel.kernel_sizes, stage.cel.per_kernel_dims):
-            report.add(f"{key}.cel", k * k * in_ch * d + d)
-        for _ in range(stage.blocks):
-            report.add(f"{key}.norm", 4 * stage.dim)  # two layer norms
-            report.add(f"{key}.attention", 4 * _linear_params(stage.dim, stage.dim))
-            report.add(f"{key}.mlp", _linear_params(stage.dim, MLP_RATIO * stage.dim)
-                       + _linear_params(MLP_RATIO * stage.dim, stage.dim))
-        if spec.attention_mode != "pvt-like":
-            if spec.bias_kind in DYNAMIC_BIAS_KINDS:
-                report.add(f"{key}.bias", stage.blocks * _dpb_params(stage.dim, stage.heads))
-            elif spec.bias_kind == "rpb":
-                for layout in layouts:
-                    sh, sw = layout.slots
-                    report.add(f"{key}.bias", (2 * sh - 1) * (2 * sw - 1) * stage.heads)
-        in_ch = stage.dim
-    if spec.bias_kind == "ape":
-        g0 = spec.stage_grids()[0]
-        report.add("stage1.bias", g0[0] * g0[1] * spec.stages[0].dim)
-    report.add("head.norm", 2 * spec.stages[3].dim)
-    report.add("head.head", _linear_params(spec.stages[3].dim, spec.classes))
-    return report
-
-
 def attention_map_macs(tokens: int, slots: int, dim: int) -> int:
     """MACs of the two attention matmuls (scores and mixing) over ``tokens``
     padded tokens grouped into windows of ``slots`` slots."""
     return 2 * tokens * slots * dim
 
 
-def count_flops(spec: ModelSpec, input_size: tuple[int, int] | None = None) -> CostReport:
+def _parts(spec: ModelSpec) -> Iterator[tuple[str, int, int]]:
+    """``(key, params, MACs of one image's forward)`` for each part of a model
+    built from ``spec`` and run at ``spec.input_size``: each embedding kernel,
+    each block's norms, attention, MLP and position bias, the APE table, the
+    head norm and the head. Both counts sum one column of this one walk."""
+    in_ch = 3
+    for s, (stage, (h, w), layouts) in enumerate(zip(spec.stages, spec.stage_grids(), spec.block_plan())):
+        key, d, tokens = f"stage{s + 1}", stage.dim, h * w
+        for k, c in zip(stage.cel.kernel_sizes, stage.cel.per_kernel_dims):
+            yield f"{key}.cel", k * k * in_ch * c + c, tokens * c * k * k * in_ch
+        for layout in layouts:
+            yield f"{key}.norm", 4 * d, 0  # two layer norms
+            if spec.attention_mode == "pvt-like":  # keys and values from the pooled grid
+                r = PVT_REDUCTIONS[s]
+                kv = math.ceil(h / r) * math.ceil(w / r)
+                macs = 2 * (tokens + kv) * d * d + attention_map_macs(tokens, kv, d)
+            else:
+                padded = math.prod(layout.padded_grid)
+                macs = 4 * padded * d * d + attention_map_macs(padded, layout.n_slots, d)
+            yield f"{key}.attention", 4 * _linear_params(d, d), macs
+            yield (f"{key}.mlp", _linear_params(d, MLP_RATIO * d) + _linear_params(MLP_RATIO * d, d),
+                   tokens * 2 * MLP_RATIO * d * d)
+            if spec.attention_mode == "pvt-like" or spec.bias_kind == "ape":
+                continue
+            offsets = (2 * layout.slots[0] - 1) * (2 * layout.slots[1] - 1)
+            if spec.bias_kind == "rpb":
+                yield f"{key}.bias", offsets * stage.heads, 0
+            else:  # 2 -> hid, two [norm, relu, linear] hid -> hid, [norm, relu, linear] hid -> heads
+                hid = dpb_hidden_width(d)
+                params = _linear_params(2, hid) + 2 * _linear_params(hid, hid) + _linear_params(hid, stage.heads)
+                yield f"{key}.bias", params + 3 * 2 * hid, offsets * (2 * hid + 2 * hid * hid + hid * stage.heads)
+        in_ch = d
+    if spec.bias_kind == "ape":
+        yield "stage1.bias", math.prod(spec.stage_grids()[0]) * spec.stages[0].dim, 0
+    d = spec.stages[3].dim
+    yield "head.norm", 2 * d, 0
+    yield "head.head", _linear_params(d, spec.classes), d * spec.classes
+
+
+def count_params(spec: ModelSpec) -> CostReport:
+    """Parameter count of a model built from ``spec``."""
+    report = CostReport("params")
+    for key, params, _ in _parts(spec):
+        if params:
+            report.add(key, params)
+    return report
+
+
+def count_flops(spec: ModelSpec) -> CostReport:
     """Multiply-accumulate count of one single-image forward pass."""
     report = CostReport("macs")
-    in_ch = 3
-    stages = zip(spec.stages, spec.stage_grids(input_size), spec.block_plan(input_size))
-    for s, (stage, (h, w), layouts) in enumerate(stages):
-        key = f"stage{s + 1}"
-        for k, d in zip(stage.cel.kernel_sizes, stage.cel.per_kernel_dims):
-            report.add(f"{key}.cel", h * w * d * k * k * in_ch)
-        tokens = h * w
-        if spec.attention_mode == "pvt-like":
-            r = PVT_REDUCTIONS[s]
-            kv_tokens = math.ceil(h / r) * math.ceil(w / r)
-            for _ in range(stage.blocks):
-                report.add(f"{key}.attention",
-                           2 * tokens * stage.dim ** 2 + 2 * kv_tokens * stage.dim ** 2)
-                report.add(f"{key}.attention", attention_map_macs(tokens, kv_tokens, stage.dim))
-        else:
-            for layout in layouts:
-                padded = layout.padded_grid[0] * layout.padded_grid[1]
-                report.add(f"{key}.attention", 4 * padded * stage.dim ** 2)
-                report.add(f"{key}.attention",
-                           attention_map_macs(padded, layout.n_slots, stage.dim))
-                if spec.bias_kind in DYNAMIC_BIAS_KINDS:
-                    sh, sw = layout.slots
-                    report.add(f"{key}.bias",
-                               (2 * sh - 1) * (2 * sw - 1) * _dpb_eval_macs(stage.dim, stage.heads))
-        report.add(f"{key}.mlp", stage.blocks * tokens * 2 * MLP_RATIO * stage.dim ** 2)
-        in_ch = stage.dim
-    report.add("head.head", spec.stages[3].dim * spec.classes)
+    for key, _, macs in _parts(spec):
+        if macs:
+            report.add(key, macs)
     return report
 
 

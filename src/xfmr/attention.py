@@ -169,7 +169,6 @@ class GroupedAttention(Module):
     def __init__(self, rng, dim: int, heads: int, bias_provider: Module | None = None, dtype=np.float32):
         if dim % heads:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
-        self.dim = dim
         self.heads = heads
         self.q_proj = Linear(rng, dim, dim, dtype)
         self.k_proj = Linear(rng, dim, dim, dtype)

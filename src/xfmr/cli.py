@@ -281,7 +281,7 @@ def main(argv=None) -> int:
         # that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return CHECK_FAILED
-    except (ConfigError, CheckpointError, BiasRangeError, GradCheckError, ShapeError, OSError) as exc:
+    except (ConfigError, CheckpointError, BiasRangeError, GradCheckError, ShapeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

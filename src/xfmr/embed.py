@@ -60,6 +60,8 @@ class CelSpec:
         # ascending, the order the halving rule allocates in, so that equal
         # layers are equal specs whatever order the kernels were given in
         object.__setattr__(self, "kernel_sizes", tuple(sorted(self.kernel_sizes)))
+        if self.dim < 1:
+            raise ConfigError(f"dim {self.dim} must be at least 1")
         object.__setattr__(self, "per_kernel_dims", tuple(allocate_dims(self.dim, len(self.kernel_sizes))))
         if self.stride < 1 or any(k < 1 for k in self.kernel_sizes):
             raise ConfigError("kernel and stride must be positive")
@@ -92,7 +94,6 @@ class CrossScaleEmbedding(Module):
 
     def __init__(self, rng: np.random.Generator, in_channels: int, spec: CelSpec, dtype=np.float32):
         self.spec = spec
-        self.in_channels = in_channels
         self.kernels = []
         self.biases = []
         for k, d in zip(spec.kernel_sizes, spec.per_kernel_dims):

@@ -56,6 +56,8 @@ class StageSpec:
         return self.cel.dim
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ConfigError(f"heads {self.heads} must be at least 1")
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         dpb_hidden_width(self.dim)
@@ -89,25 +91,25 @@ class ModelSpec:
         if self.classes < 1:
             raise ConfigError(f"classes = {self.classes} must be at least 1")
 
-    def stage_grids(self, input_size: tuple[int, int] | None = None) -> list[tuple[int, int]]:
-        """Embedding-grid extents after each stage's embedding layer, for
-        ``input_size`` (default: the build input size)."""
-        h, w = input_size or self.input_size
+    def stage_grids(self) -> list[tuple[int, int]]:
+        """Embedding-grid extents after each stage's embedding layer, at
+        ``input_size``; for another size, ask ``replace(spec, input_size=...)``."""
+        h, w = self.input_size
         grids = []
         for stage in self.stages:
             h, w = stage.cel.output_grid(h, w)
             grids.append((h, w))
         return grids
 
-    def block_plan(self, input_size: tuple[int, int] | None = None) -> list[list[GroupLayout]]:
+    def block_plan(self) -> list[list[GroupLayout]]:
         """Per stage, one :class:`GroupLayout` per block, on that stage's grid
-        for ``input_size`` (default: the build input size).
+        at ``input_size``; for another size, ask ``replace(spec, input_size=...)``.
 
         Blocks alternate short-distance (even) and long-distance (odd)
         grouping; "sda-only" makes every block short-distance.
         """
         plan = []
-        for stage, (h, w) in zip(self.stages, self.stage_grids(input_size)):
+        for stage, (h, w) in zip(self.stages, self.stage_grids()):
             blocks = []
             for b in range(stage.blocks):
                 mode = SDA if self.attention_mode == "sda-only" or b % 2 == 0 else LDA

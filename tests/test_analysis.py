@@ -37,9 +37,11 @@ class TestParamCounting:
 
     @pytest.mark.parametrize("bias", ["dpb", "dpb-res", "rpb", "ape"])
     def test_matches_instantiated_weights_exactly(self, bias):
-        spec = replace(toy_spec(), classes=4, bias_kind=bias)
-        model = build_model(spec, seed=0)
-        assert count_params(spec).total == param_total(model)
+        # the rpb tables and the ape table follow the build size
+        for size in ((64, 64), (96, 96)):
+            spec = replace(toy_spec(), classes=4, bias_kind=bias, input_size=size)
+            model = build_model(spec, seed=0)
+            assert count_params(spec).total == param_total(model), size
 
     def test_matches_instantiated_pvt_like(self):
         spec = replace(toy_spec(), classes=4, attention_mode="pvt-like")
@@ -70,14 +72,16 @@ class TestFlopCounting:
         assert counter.macs == count_flops(spec).total
 
     def test_matches_executed_macs_padded_grids(self):
-        spec = replace(toy_spec(), classes=4)
-        model = build_model(spec, seed=0)
-        # 96^2 input makes stage-4 grid 3x3, exercising padded attention
-        x = Tensor(np.zeros((1, 96, 96, 3), dtype=np.float32))
-        with count_macs() as counter:
-            with no_grad():
-                model(x)
-        assert counter.macs == count_flops(spec, input_size=(96, 96)).total
+        # a 96^2 input makes the stage-4 grid 3x3 and a 64x96 input makes it
+        # 2x3, both exercising padded attention; the model is built at 64^2
+        for attention, size in (("lsda", (96, 96)), ("lsda", (64, 96)), ("pvt-like", (64, 96))):
+            spec = replace(toy_spec(), classes=4, attention_mode=attention)
+            model = build_model(spec, seed=0)
+            x = Tensor(np.zeros((1, *size, 3), dtype=np.float32))
+            with count_macs() as counter:
+                with no_grad():
+                    model(x)
+            assert counter.macs == count_flops(replace(spec, input_size=size)).total, (attention, size)
 
     def test_matches_executed_rpb(self):
         spec = replace(toy_spec(), classes=4, bias_kind="rpb")
@@ -103,8 +107,8 @@ class TestFlopCounting:
     def test_attention_macs_quadruple_when_side_doubles(self):
         # fixed group extent: every attention term is linear in token count
         spec = replace(build_variant("small"), attention_mode="sda-only")
-        a = count_flops(spec, input_size=(224, 224)).entries["stage1.attention"]
-        b = count_flops(spec, input_size=(448, 448)).entries["stage1.attention"]
+        a = count_flops(replace(spec, input_size=(224, 224))).entries["stage1.attention"]
+        b = count_flops(replace(spec, input_size=(448, 448))).entries["stage1.attention"]
         assert b == 4 * a
 
     def test_grouped_fraction_identity(self):
@@ -125,6 +129,25 @@ class TestReferenceBudgets:
     def test_flops_within_ten_percent(self, name):
         total = count_flops(build_variant(name)).total
         assert abs(total - FLOP_TARGETS[name]) / FLOP_TARGETS[name] <= 0.10
+
+    @pytest.mark.parametrize("row, params, macs", [
+        ("tiny", 28_047_294, 2_901_800_192),
+        ("small", 30_930_322, 4_951_188_720),
+        ("base", 52_471_714, 9_241_603_056),
+        ("large", 92_852_768, 16_253_354_112),
+        ("small/single", 28_559_506, 4_539_344_112),
+        ("small/two", 30_888_850, 4_821_132_528),
+        ("small/ape", 30_932_680, 4_902_411_264),
+        ("small/rpb", 30_654_946, 4_902_411_264),
+        ("small/dpb", 30_930_322, 4_951_188_720),
+    ])
+    def test_exact_totals_of_paper_rows(self, row, params, macs):
+        # any change to the accounting must show here as an edit of a number
+        name, _, ablation = row.partition("/")
+        spec = build_variant(name, cel_mode=ablation if ablation in CEL_TARGETS else "cross")
+        if ablation in POSITION_PARAM_TARGETS:
+            spec = replace(spec, bias_kind=ablation)
+        assert (count_params(spec).total, count_flops(spec).total) == (params, macs)
 
     def test_position_modes_within_tolerance_and_ordered(self):
         totals = {}

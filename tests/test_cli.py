@@ -517,6 +517,14 @@ class TestExitCodes:
          "error: [stage.2] at line 11: dim 32 not divisible by heads 3"),
         (("forward",), "input_size = 64 64\n" + stage_sections("4, 8").replace("1\n[stage.3]", "0\n[stage.3]"),
          "error: [stage.2] at line 11: blocks, group size and interval must be positive"),
+        (("count",), "input_size = 64 64\n" + stage_sections("4, 8").replace("heads = 2\n", "heads = 0\n"),
+         "error: [stage.2] at line 11: heads 0 must be at least 1"),
+        (("count",), "input_size = 64 64\n" + stage_sections("4, 8").replace("heads = 2\n", "heads = -1\n"),
+         "error: [stage.2] at line 11: heads -1 must be at least 1"),
+        (("forward",), "input_size = 64 64\n" + re.sub(r"dim = \d+", "dim = 0", stage_sections("4, 8")),
+         "error: [stage.1] at line 3: dim 0 must be at least 1"),
+        (("count",), "input_size = 64 64\n" + re.sub(r"dim = (\d+)", r"dim = -\1", stage_sections("4, 8")),
+         "error: [stage.1] at line 3: dim -16 must be at least 1"),
         (("train-toy",), stage_sections("4, 8"), "error: explicit stages require input_size"),
         (("count",), "seed 3", "error: line 2: expected 'key = value'"),
         (("emit-config",), "[stage.x]\ndim = 4", "error: line 2: bad stage number in 'stage.x'"),
@@ -526,7 +534,8 @@ class TestExitCodes:
          "error: input 64x96 must be square: the synthetic dataset draws square images"),
     ], ids=["seed", "count-classes", "forward-classes", "zero-classes", "dtype", "steps", "batch",
             "samples", "lr", "weight-decay", "drop-path", "tol-nan", "tol-negative", "stage-heads",
-            "stage-blocks", "stages-without-input-size", "line-without-equals", "stage-number",
+            "stage-blocks", "stage-zero-heads", "stage-negative-heads", "stage-zero-dims",
+            "stage-negative-dims", "stages-without-input-size", "line-without-equals", "stage-number",
             "non-square-toy", "non-square-toy-ape"])
     def test_bad_run_setting_is_2(self, capsys, tmp_path, argv, config, line):
         if config is not None:
@@ -542,6 +551,16 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err.splitlines()[-1] == line
         assert "Traceback" not in out.err
+
+    def test_out_of_memory_is_2(self, capsys, monkeypatch):
+        def refuse(model, images):
+            raise MemoryError("Unable to allocate 8.94 TiB for an array with shape (100000000, 64, 64, 3)")
+
+        monkeypatch.setattr(xfmr.cli, "model_forward", refuse)
+        code, out, err = run(capsys, "forward", "--variant", "toy")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: Unable to allocate 8.94 TiB for an array with shape (100000000, 64, 64, 3)"]
 
     def test_diverging_training_is_1_with_one_stderr_line(self, tmp_path):
         cfg = tmp_path / "diverge.cfg"
