@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .bias import dpb_hidden_width
-from .model import MLP_RATIO, PVT_REDUCTIONS, ModelSpec, build_variant
+from .model import MLP_RATIO, ModelSpec, build_variant
 
 __all__ = [
     "CostReport",
@@ -98,9 +98,8 @@ def _parts(spec: ModelSpec) -> Iterator[tuple[str, int, int]]:
             yield f"{key}.cel", k * k * in_ch * c + c, tokens * c * k * k * in_ch
         for layout in layouts:
             yield f"{key}.norm", 4 * d, 0  # two layer norms
-            if spec.attention_mode == "pvt-like":  # keys and values from the pooled grid
-                r = PVT_REDUCTIONS[s]
-                kv = math.ceil(h / r) * math.ceil(w / r)
+            if spec.attention_mode == "pvt-like":  # keys and values: one per window of the layout
+                kv = layout.n_groups
                 macs = 2 * (tokens + kv) * d * d + attention_map_macs(tokens, kv, d)
             else:
                 padded = math.prod(layout.padded_grid)

@@ -7,8 +7,10 @@ a fixed interval per axis. Both split each axis into (outer, inner) indices,
 SDA groups by the outer indices, LDA by the inner ones. Grids that are not
 multiples of s are zero-padded up to the next multiple and the padded slots
 are masked out of the softmax with a -inf sentinel.
-The pooled-key/value ablation reuses the same multi-head core on one group
-holding every token, with keys and values taken from the pooled grid.
+Every attention module takes a batch (N, H, W, D) and its layout and returns
+(N, H, W, D). The pooled-key/value ablation reuses the same multi-head core
+on one group holding every token; its keys and values are the means of the
+layout's short-distance windows.
 """
 
 from __future__ import annotations
@@ -177,13 +179,13 @@ class GroupedAttention(Module):
         self.bias = bias_provider
 
     def qkv(self, g: Tensor, kv: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor]:
-        """Head-major q of grouped tokens g (N, groups, *slots, dim) and k, v of
-        ``kv`` (default g), each (N, groups, heads, tokens, dim/heads)."""
+        """Head-major q of grouped tokens g (N, groups, tokens, dim) and k, v of
+        ``kv`` (default g, same axes), each (N, groups, heads, tokens, dim/heads)."""
         kv = g if kv is None else kv
 
         def heads_first(t: Tensor) -> Tensor:
-            n, ng, *slots, dim = t.shape
-            return t.reshape(n, ng, math.prod(slots), self.heads, dim // self.heads).permute(0, 1, 3, 2, 4)
+            n, ng, tokens, dim = t.shape
+            return t.reshape(n, ng, tokens, self.heads, dim // self.heads).permute(0, 1, 3, 2, 4)
 
         return heads_first(self.q_proj(g)), heads_first(self.k_proj(kv)), heads_first(self.v_proj(kv))
 
@@ -194,34 +196,31 @@ class GroupedAttention(Module):
         mixed = attend_tokens(*self.qkv(g, kv), bias, key_logits)
         return self.out_proj(mixed.permute(0, 1, 3, 2, 4).reshape(g.shape))
 
-    def forward(self, g: Tensor, layout: GroupLayout) -> Tensor:
+    def forward(self, x: Tensor, layout: GroupLayout) -> Tensor:
+        """Attention output (N, H, W, dim) of a batch (N, H, W, dim): the tokens
+        of each group of ``layout`` attend to each other, under the position
+        bias and with padded slots masked out."""
+        g = group(x, layout)
         bias = None
         if self.bias is not None:
             bias = self.bias.bias_matrix(layout).permute(2, 0, 1)  # (heads, S, S)
-        return self.attend(g, g, bias, key_padding_logits(layout, g.dtype))
+        return ungroup(self.attend(g, g, bias, key_padding_logits(layout, g.dtype)), layout)
 
 
 class PooledFullAttention(GroupedAttention):
-    """Full-grid attention with keys/values average-pooled by a fixed factor.
+    """Full-grid attention with keys and values pooled over windows.
 
     Ablation stand-in for architectures that merge adjacent key/value
-    embeddings: one group holds every token, queries stay at full
-    resolution, keys and values come from the pooled grid, and no position
-    bias is used.
+    embeddings: one group holds every token and queries stay at full
+    resolution. Keys and values come from the means of the layout's
+    short-distance windows, zero padding counted. No position bias is used.
     """
 
-    def __init__(self, rng, dim: int, heads: int, reduction: int, dtype=np.float32):
+    def __init__(self, rng, dim: int, heads: int, dtype=np.float32):
         super().__init__(rng, dim, heads, None, dtype)
-        self.reduction = reduction
 
-    def _pool(self, x: Tensor) -> Tensor:
-        """Keys/values source: the grid (N, H, W, dim) zero-padded to a
-        multiple of the reduction and average-pooled, as one group."""
-        pooled = _split(x, self.reduction).mean(axis=(2, 4))
-        return pooled.reshape(pooled.shape[0], 1, *pooled.shape[1:])
-
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, layout: GroupLayout) -> Tensor:
         """Attention output (N, H, W, dim) of a batch (N, H, W, dim)."""
         n, h, w, dim = x.shape
-        g = x.reshape(n, 1, h, w, dim)  # one group holding every token, on its grid
-        return self.attend(g, g if self.reduction == 1 else self._pool(x)).reshape(n, h, w, dim)
+        windows = group(x, layout).mean(axis=2).reshape(n, 1, layout.n_groups, dim)
+        return self.attend(x.reshape(n, 1, h * w, dim), windows).reshape(n, h, w, dim)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import LDA, SDA, GroupedAttention, GroupLayout, PooledFullAttention, build_layout, group, ungroup
+from .attention import LDA, SDA, GroupedAttention, GroupLayout, PooledFullAttention, build_layout
 from .bias import (BIAS_KINDS, DYNAMIC_BIAS_KINDS, AbsolutePositionEmbedding, DynamicPositionBias,
                    RelativePositionBias, dpb_hidden_width)
 from .embed import CelSpec, ConfigError, CrossScaleEmbedding
@@ -88,6 +88,8 @@ class ModelSpec:
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         if self.bias_kind not in BIAS_KINDS:
             raise ConfigError(f"unknown bias kind {self.bias_kind!r}")
+        if self.attention_mode == "pvt-like" and self.bias_kind in ("rpb", "dpb-res"):
+            raise ConfigError(f"bias = {self.bias_kind} does not apply: pvt-like attention takes no position bias")
         if self.classes < 1:
             raise ConfigError(f"classes = {self.classes} must be at least 1")
 
@@ -106,16 +108,15 @@ class ModelSpec:
         at ``input_size``; for another size, ask ``replace(spec, input_size=...)``.
 
         Blocks alternate short-distance (even) and long-distance (odd)
-        grouping; "sda-only" makes every block short-distance.
+        grouping; "sda-only" makes every block short-distance. A "pvt-like"
+        block's layout is the short-distance split into the stage's
+        ``PVT_REDUCTIONS`` windows, whose means are its keys and values.
         """
         plan = []
-        for stage, (h, w) in zip(self.stages, self.stage_grids()):
-            blocks = []
-            for b in range(stage.blocks):
-                mode = SDA if self.attention_mode == "sda-only" or b % 2 == 0 else LDA
-                size = stage.group_size if mode == SDA else stage.interval
-                blocks.append(build_layout(mode, h, w, size))
-            plan.append(blocks)
+        for s, (stage, (h, w)) in enumerate(zip(self.stages, self.stage_grids())):
+            window = PVT_REDUCTIONS[s] if self.attention_mode == "pvt-like" else stage.group_size
+            plan.append([build_layout(LDA, h, w, stage.interval) if self.attention_mode == "lsda" and b % 2
+                         else build_layout(SDA, h, w, window) for b in range(stage.blocks)])
         return plan
 
     def total_blocks(self) -> int:
@@ -218,28 +219,19 @@ def _make_bias_provider(rng, spec: ModelSpec, stage: StageSpec, layout: GroupLay
 class Block(Module):
     """Pre-norm residual block: grouped attention then token MLP."""
 
-    def __init__(self, rng, spec: ModelSpec, stage: StageSpec, layout: GroupLayout,
-                 drop_rate: float, reduction: int, dtype):
+    def __init__(self, rng, spec: ModelSpec, stage: StageSpec, layout: GroupLayout, drop_rate: float, dtype):
         self.mode = layout.mode
         self.group_size = layout.size
         self.layout = layout
         self.drop_rate = drop_rate
         self.norm1 = LayerNorm(stage.dim, dtype)
         if spec.attention_mode == "pvt-like":
-            self.attn = PooledFullAttention(rng, stage.dim, stage.heads, reduction, dtype)
+            self.attn = PooledFullAttention(rng, stage.dim, stage.heads, dtype)
         else:
             provider = _make_bias_provider(rng, spec, stage, layout, dtype)
             self.attn = GroupedAttention(rng, stage.dim, stage.heads, provider, dtype)
         self.norm2 = LayerNorm(stage.dim, dtype)
         self.mlp = Mlp(rng, stage.dim, MLP_RATIO * stage.dim, dtype)
-
-    def _attend(self, x: Tensor) -> Tensor:
-        if isinstance(self.attn, PooledFullAttention):
-            return self.attn(x)
-        layout = self.layout
-        if x.shape[1:3] != layout.grid:
-            layout = build_layout(self.mode, x.shape[1], x.shape[2], self.group_size)
-        return ungroup(self.attn(group(x, layout), layout), layout)
 
     def forward(self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         def residual(branch: Tensor) -> Tensor:
@@ -248,7 +240,11 @@ class Block(Module):
                                                branch.data.dtype.type)
             return branch
 
-        x = x + residual(self._attend(self.norm1(x)))
+        h = self.norm1(x)
+        layout = self.layout
+        if h.shape[1:3] != layout.grid:
+            layout = build_layout(self.mode, h.shape[1], h.shape[2], self.group_size)
+        x = x + residual(self.attn(h, layout))
         x = x + residual(self.mlp(self.norm2(x)))
         return x
 
@@ -266,10 +262,9 @@ class Classifier(Module):
         self.cels = []
         self.stages = []
         in_ch = 3
-        for s, (stage, layouts) in enumerate(zip(spec.stages, spec.block_plan())):
+        for stage, layouts in zip(spec.stages, spec.block_plan()):
             self.cels.append(CrossScaleEmbedding(rng, in_ch, stage.cel, dtype))
-            self.stages.append([Block(rng, spec, stage, layout, float(next(rates)), PVT_REDUCTIONS[s], dtype)
-                                for layout in layouts])
+            self.stages.append([Block(rng, spec, stage, layout, float(next(rates)), dtype) for layout in layouts])
             in_ch = stage.dim
         self.ape = None
         if spec.bias_kind == "ape":

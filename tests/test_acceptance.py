@@ -30,7 +30,6 @@ from xfmr import (
     no_grad,
     synth_dataset,
     toy_spec,
-    ungroup,
 )
 from xfmr.analysis import CEL_TARGETS, FLOP_TARGETS, PARAM_TARGETS, POSITION_PARAM_TARGETS, attention_map_macs
 from xfmr.attention import attend_tokens, key_padding_logits
@@ -103,7 +102,7 @@ def test_05_grouped_attention_equals_masked_full_attention():
                 x = Tensor(rng.standard_normal((1, h, w, dim)))
                 layout = build_layout(mode, h, w, size)
                 with no_grad():
-                    mine = ungroup(attn(group(x, layout), layout), layout).data
+                    mine = attn(x, layout).data
                 ref = masked_full_attention(x.data, attn, mode, size, attn.bias)
                 err = np.abs(mine - ref).max()
                 worst = max(worst, err)

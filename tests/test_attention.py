@@ -185,7 +185,7 @@ def make_attention(dim=8, heads=2, bias=True, dtype=np.float64, seed=5):
 def grouped_attention(x, mode, size, attn):
     """Group the grid of ``x``, attend within groups, restore the grid."""
     lay = build_layout(mode, x.shape[1], x.shape[2], size)
-    return ungroup(attn(group(x, lay), lay), lay)
+    return attn(x, lay)
 
 
 class TestGroupedAttention:
@@ -194,7 +194,7 @@ class TestGroupedAttention:
         lay = build_layout("sda", 1, 1, 1)
         x = Tensor(rng.standard_normal((1, 1, 1, 8)))
         with no_grad():
-            out = ungroup(attn(group(x, lay), lay), lay).data
+            out = attn(x, lay).data
         expect = (x.data.reshape(1, 8) @ attn.v_proj.w.data + attn.v_proj.b.data)
         expect = expect @ attn.out_proj.w.data + attn.out_proj.b.data
         assert np.abs(out.reshape(1, 8) - expect).max() <= 1e-12
@@ -206,7 +206,7 @@ class TestGroupedAttention:
         lay = build_layout("sda", 2, 2, 2)
         x = Tensor(rng.standard_normal((1, 2, 2, 8)))
         with no_grad():
-            out = ungroup(attn(group(x, lay), lay), lay).data
+            out = attn(x, lay).data
         v = x.data.reshape(4, 8) @ attn.v_proj.w.data + attn.v_proj.b.data
         expect = (v.mean(axis=0) @ attn.out_proj.w.data + attn.out_proj.b.data)
         assert np.abs(out.reshape(4, 8) - expect).max() <= 1e-12
@@ -227,7 +227,7 @@ class TestGroupedAttention:
         x = Tensor(np.random.default_rng(31).standard_normal((2, h, w, 8)))
         lay = build_layout(mode, h, w, size)
         with no_grad():
-            mine = ungroup(attn(group(x, lay), lay), lay).data
+            mine = attn(x, lay).data
         ref = masked_full_attention(x.data, attn, mode, size, attn.bias)
         assert np.abs(mine - ref).max() <= 1e-5
 
@@ -298,27 +298,27 @@ class TestComplexityScaling:
 
 class TestPooledFullAttention:
     def test_shapes_and_pooling(self):
-        attn = PooledFullAttention(np.random.default_rng(0), 8, 2, reduction=2, dtype=np.float64)
+        attn = PooledFullAttention(np.random.default_rng(0), 8, 2, dtype=np.float64)
         x = Tensor(rng.standard_normal((2, 6, 6, 8)))
         with no_grad():
-            out = attn(x)
+            out = attn(x, build_layout("sda", 6, 6, 2))
         assert out.shape == (2, 6, 6, 8)
 
     def test_reduction_one_is_plain_full_attention(self):
         # without pooling every token attends to every token: one group
         # spanning the whole (non-square) grid, and no position bias
-        attn = PooledFullAttention(np.random.default_rng(1), 8, 2, reduction=1, dtype=np.float64)
+        attn = PooledFullAttention(np.random.default_rng(1), 8, 2, dtype=np.float64)
         x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 5, 8)))
         with no_grad():
-            out = attn(x).data
+            out = attn(x, build_layout("sda", 3, 5, 1)).data
         ref = masked_full_attention(x.data, attn, "sda", 5, None)
         assert np.abs(out - ref).max() <= 1e-10
 
     @pytest.mark.parametrize("reduction", [2, 3])
     def test_pooled_keys_values_match_loop_oracle(self, reduction):
         # 5x7 is a multiple of neither reduction, so the pooled grid is padded
-        attn = PooledFullAttention(np.random.default_rng(3), 8, 2, reduction=reduction, dtype=np.float64)
+        attn = PooledFullAttention(np.random.default_rng(3), 8, 2, dtype=np.float64)
         x = Tensor(np.random.default_rng(4).standard_normal((2, 5, 7, 8)))
         with no_grad():
-            out = attn(x).data
+            out = attn(x, build_layout("sda", 5, 7, reduction)).data
         assert np.abs(out - pooled_full_attention(x.data, attn, reduction)).max() <= 1e-10

@@ -90,6 +90,12 @@ class TestCount:
         assert code == 0
         assert "small/ape params" in out
 
+    def test_pvt_like_takes_ape(self, capsys):
+        code, out, _ = run(capsys, "count", "--variant", "s", "--attn", "pvt-like", "--bias", "ape")
+        assert code == 0
+        assert "bias=ape attn=pvt-like" in out
+        assert "30.9327M params, 4.4201G MACs" in out
+
     def test_single_cel_budget(self, capsys):
         code, out, _ = run(capsys, "count", "--variant", "s", "--cel", "single")
         assert code == 0
@@ -532,11 +538,15 @@ class TestExitCodes:
          "error: input 64x96 must be square: the synthetic dataset draws square images"),
         (("train-toy", "--bias", "ape", "--size", "64", "96"), None,
          "error: input 64x96 must be square: the synthetic dataset draws square images"),
+        (("count", "--variant", "small", "--attn", "pvt-like", "--bias", "rpb"), None,
+         "error: bias = rpb does not apply: pvt-like attention takes no position bias"),
+        (("forward", "--attn", "pvt-like"), "bias = dpb-res",
+         "error: bias = dpb-res does not apply: pvt-like attention takes no position bias"),
     ], ids=["seed", "count-classes", "forward-classes", "zero-classes", "dtype", "steps", "batch",
             "samples", "lr", "weight-decay", "drop-path", "tol-nan", "tol-negative", "stage-heads",
             "stage-blocks", "stage-zero-heads", "stage-negative-heads", "stage-zero-dims",
             "stage-negative-dims", "stages-without-input-size", "line-without-equals", "stage-number",
-            "non-square-toy", "non-square-toy-ape"])
+            "non-square-toy", "non-square-toy-ape", "pvt-like-rpb", "pvt-like-dpb-res"])
     def test_bad_run_setting_is_2(self, capsys, tmp_path, argv, config, line):
         if config is not None:
             path = tmp_path / "bad.cfg"

@@ -32,6 +32,13 @@ def test_shapes_and_range():
     assert labels.dtype == np.int64
 
 
+def test_every_class_draws_in_range():
+    # 16 samples of 8 classes: each class twice, the wedges of classes 6 and 7 included
+    images, labels = synth_dataset(0, 16, 32, 8)
+    assert (np.bincount(labels) == 2).all()
+    assert images.min() >= 0.0 and images.max() <= 1.0
+
+
 def test_class_count_bounds():
     with pytest.raises(ValueError):
         synth_dataset(0, 8, 32, 1)

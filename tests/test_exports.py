@@ -1,10 +1,16 @@
 import ast
 import importlib
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 import xfmr
 import xfmr.tensor
+from xfmr import build_layout, build_model, toy_spec
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -71,3 +77,57 @@ def test_module_call_passes_arguments_to_forward():
     probe = Probe()
     token = object()
     assert probe(1, token, train=True, rng=None) == ((1, token), {"train": True, "rng": None}, probe)
+
+
+def _resolve(node: ast.expr, names: dict):
+    """The object a Name or dotted Attribute chain rooted in ``names`` reads;
+    KeyError for any other root, AttributeError for a missing attribute."""
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, names), node.attr)
+    if isinstance(node, ast.Name):
+        return names[node.id]
+    raise KeyError(node)
+
+
+@pytest.mark.parametrize("attention", ["lsda", "sda-only", "pvt-like"])
+def test_benchmark_reads_resolve(attention):
+    """The benchmark under ``perfbench/`` reads the package by name and is not
+    run by this suite: every name it imports from ``xfmr``, every ``xfmr.``
+    chain and ``(owner, "name")`` patch target it reads, every op of its
+    tracer's ``OPS``, and the block attributes it rebuilds layouts from
+    still exist. The files are parsed, not imported."""
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {"xfmr": xfmr}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("xfmr"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if hasattr(module, alias.name):
+                        names[alias.asname or alias.name] = getattr(module, alias.name)
+                    else:
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "OPS":
+                missing += [f"{path.name}: xfmr.tensor.{op}" for op in ast.literal_eval(node.value)
+                            if not hasattr(xfmr.tensor, op)]
+        for node in ast.walk(tree):
+            try:
+                if isinstance(node, ast.Attribute):
+                    _resolve(node, names)
+                elif (isinstance(node, ast.Tuple) and len(node.elts) > 1 and isinstance(node.elts[1], ast.Constant)
+                      and isinstance(node.elts[1].value, str)):
+                    getattr(_resolve(node.elts[0], names), node.elts[1].value)
+            except KeyError:
+                pass  # rooted in a local value, not in the package
+            except AttributeError:
+                missing.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert missing == []
+
+    model = build_model(replace(toy_spec(), attention_mode=attention), seed=0)
+    for block in (b for blocks in model.stages for b in blocks):
+        rebuilt = build_layout(block.mode, *block.layout.grid, block.group_size)
+        assert (rebuilt.groups, rebuilt.slots) == (block.layout.groups, block.layout.slots)
+        assert hasattr(block.attn, "bias")
+        if attention != "pvt-like":
+            assert isinstance(block.attn.bias.eval_count, int)

@@ -80,6 +80,18 @@ class TestVariantTables:
         with pytest.raises(ConfigError):
             build_variant("xxl")
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: ModelSpec(stages=toy_spec().stages[:3]), "exactly four stages expected"),
+        (lambda: replace(toy_spec(), attention_mode="full"), "unknown attention mode 'full'"),
+        (lambda: replace(toy_spec(), bias_kind="sinusoid"), "unknown bias kind 'sinusoid'"),
+        (lambda: replace(toy_spec(), classes=0), "classes = 0 must be at least 1"),
+        (lambda: build_variant("tiny", cel_mode="triple"), "unknown embedding-layer mode 'triple'"),
+        (lambda: build_variant("tiny", task="segmentation"), "unknown task 'segmentation'"),
+    ], ids=["three-stages", "attention-mode", "bias-kind", "classes", "cel-mode", "task"])
+    def test_refuses_bad_spec(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
     def test_grouping_does_not_change_weight_shapes(self):
         # same structure, different (G, I): parameter shape sets must agree
         a = toy_spec()

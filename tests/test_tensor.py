@@ -939,3 +939,13 @@ class TestAutodiffPlumbing:
         with T.count_macs() as c:
             T.conv2d(x, randt(2, 2, 2, 3), None, 2, 0)
         assert c.macs == 1 * 4 * 4 * 3 * 2 * 2 * 2
+
+
+@pytest.mark.parametrize("op,message", [
+    (lambda: T.matmul(randt(4), randt(4, 2)), "matmul requires rank >= 2 operands"),
+    (lambda: T.conv2d(randt(1, 4, 4, 3), randt(1, 1, 2, 1), None, 1, 0), "kernel expects 2 input channels, got 3"),
+    (lambda: T.layer_norm(randt(2, 6), Tensor(np.ones(5)), Tensor(np.zeros(6))), "gamma/beta must match"),
+], ids=["matmul-rank-1", "conv2d-channels", "layer-norm-gamma"])
+def test_ops_refuse_misshaped_operands(op, message):
+    with pytest.raises(T.ShapeError, match=message):
+        op()
